@@ -40,6 +40,7 @@ from .lang import (
     canonicalize,
     concat_sigma_star,
     concat_symbol_class,
+    counterexample,
     empty_language,
     enumerate_words,
     from_words,
@@ -83,6 +84,7 @@ __all__ = [
     "canonicalize",
     "concat_sigma_star",
     "concat_symbol_class",
+    "counterexample",
     "empty_language",
     "enumerate_words",
     "from_words",

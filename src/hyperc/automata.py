@@ -184,7 +184,6 @@ def compose_detailed(
                 pairs.append(t)
             row.append(j)
         rows.append(row)
-    rows = [row for row in rows]
 
     def pair_name(i: int) -> str:
         q1, q2 = pairs[i]

@@ -15,6 +15,7 @@ from .errors import SignatureMismatch, ValidationError
 from .lang import (
     IoSignature,
     RegularLanguage,
+    counterexample,
     is_prefix_closed,
     is_receptive,
     is_subset,
@@ -44,10 +45,9 @@ class InterfaceHypercontract:
             raise SignatureMismatch("S and signature use different alphabets")
         s = self.s.canonical()
         object.__setattr__(self, "s", s)
-        pc = prefix_closure(s)
-        if not is_subset(pc, s):
-            w = pc.difference(s).shortest_member()
-            raise ValidationError(f"S not prefix-closed at witness {word_str(w or ())}")
+        w = counterexample(prefix_closure(s), s)
+        if w is not None:
+            raise ValidationError(f"S not prefix-closed at witness {word_str(w)}")
         if not s.accepts(()):
             raise ValidationError("S must contain the empty word")
         e = s.union(miss_ext(s, s, self.io.outputs))
@@ -123,10 +123,16 @@ def compose(
     if shared:
         raise SignatureMismatch(f"shared outputs: {sorted(shared)}")
     o1, o2 = c1.io.outputs, c2.io.outputs
-    removed = unc(c2.s, c1.s, o1, o2).union(unc(c1.s, c2.s, o2, o1))
-    r = c1.s.intersect(c2.s).difference(removed)
-    if r.is_empty():
+    # Each Unc term is extended by Σ*, so it holds ε only when it is all of
+    # Σ*; S and S' both hold ε.  Hence R is empty exactly when one of the
+    # terms holds ε, and otherwise ε ∈ R.
+    unc1 = unc(c2.s, c1.s, o1, o2)
+    if unc1.accepts(()):
         return Incompatible()
+    unc2 = unc(c1.s, c2.s, o2, o1)
+    if unc2.accepts(()):
+        return Incompatible()
+    r = c1.s.intersect(c2.s).difference(unc1.union(unc2))
     return InterfaceHypercontract(r, IoSignature(c1.io.alphabet, c1.io.inputs & c2.io.inputs))
 
 

@@ -246,28 +246,38 @@ def _compset_from(doc: BehavioralDocument, ref, what: str) -> ConicCompset:
     raise DocumentError(f"{what} must be a compset name or a list of components")
 
 
+def _section(raw: dict, key: str) -> dict:
+    """An optional name-to-entry section of a behavioral document."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise DocumentError(f"behavioral {key!r} must be a JSON object")
+    return value
+
+
 def parse_behavioral(raw: dict) -> BehavioralDocument:
+    if not isinstance(raw, dict):
+        raise DocumentError("behavioral document must be a JSON object")
     try:
         universe = Universe(tuple(_string_list(raw, "universe", "behavioral")))
     except HypercError as err:
         raise DocumentError(str(err)) from None
     doc = BehavioralDocument(universe)
-    for name, behaviors in raw.get("components", {}).items():
+    for name, behaviors in _section(raw, "components").items():
         doc.components[name] = _component_from(doc, behaviors, f"component {name!r}")
-    for name, entries in raw.get("compsets", {}).items():
+    for name, entries in _section(raw, "compsets").items():
         if not isinstance(entries, list):
             raise DocumentError(f"compset {name!r} must list component names")
         doc.compsets[name] = ConicCompset.from_components(
             doc.universe,
             [_component_from(doc, entry, f"compset {name!r}") for entry in entries],
         )
-    for name, pair in raw.get("contracts", {}).items():
+    for name, pair in _section(raw, "contracts").items():
         if not isinstance(pair, dict):
             raise DocumentError(f"contract {name!r} must map 'env' and 'impl'")
         env = _compset_from(doc, pair.get("env"), f"contract {name!r} env")
         impl = _compset_from(doc, pair.get("impl"), f"contract {name!r} impl")
         doc.contracts[name] = BehavioralHypercontract(env, impl)
-    for name, pair in raw.get("ag", {}).items():
+    for name, pair in _section(raw, "ag").items():
         if not isinstance(pair, dict):
             raise DocumentError(f"ag contract {name!r} must map 'A' and 'G'")
         doc.ag[name] = AgContract(

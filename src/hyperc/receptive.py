@@ -20,6 +20,7 @@ from .lang import (
     check_same_alphabet,
     concat_sigma_star,
     concat_symbol_class,
+    counterexample,
     is_subset,
     prefix_closure,
     product_map,
@@ -39,14 +40,12 @@ class ReceptiveLanguage:
         if self.lang.alphabet != self.io.alphabet:
             raise SignatureMismatch("language and signature use different alphabets")
         object.__setattr__(self, "lang", self.lang.canonical())
-        pc = prefix_closure(self.lang)
-        if not is_subset(pc, self.lang):
-            w = pc.difference(self.lang).shortest_member()
-            raise ValidationError(f"not prefix-closed at witness {word_str(w or ())}")
-        ext = concat_symbol_class(self.lang, self.io.inputs)
-        if not is_subset(ext, self.lang):
-            w = ext.difference(self.lang).shortest_member()
-            raise ValidationError(f"not receptive at witness {word_str(w or ())}")
+        w = counterexample(prefix_closure(self.lang), self.lang)
+        if w is not None:
+            raise ValidationError(f"not prefix-closed at witness {word_str(w)}")
+        w = counterexample(concat_symbol_class(self.lang, self.io.inputs), self.lang)
+        if w is not None:
+            raise ValidationError(f"not receptive at witness {word_str(w)}")
         if not is_subset(star_of(self.io.alphabet, self.io.inputs), self.lang):
             raise ValidationError("language does not contain the bottom language I*")
 
@@ -202,13 +201,9 @@ def quotient(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
     when L' ∩ I_r* ⊆ L.
     """
     io_r = quotient_signature(a.io, b.io)
-    floor = star_of(a.alphabet, io_r.inputs)
-    gap = b.lang.intersect(floor).difference(a.lang)
-    if not gap.is_empty():
-        w = gap.shortest_member()
-        raise QuotientUndefined(
-            f"quotient undefined: L' ∩ I_r* ⊄ L at witness {word_str(w or ())}"
-        )
+    w = counterexample(b.lang.intersect(star_of(a.alphabet, io_r.inputs)), a.lang)
+    if w is not None:
+        raise QuotientUndefined(f"quotient undefined: L' ∩ I_r* ⊄ L at witness {word_str(w)}")
     kept = a.lang.intersect(b.lang).union(miss_ext(a.lang, b.lang, b.io.outputs))
     result = kept.difference(unc(a.lang, b.lang, b.io.outputs, a.io.inputs))
     return ReceptiveLanguage(result, io_r)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import hyperc.behavioral
 import hyperc.contracts
 import hyperc.lang
@@ -278,6 +280,20 @@ class TestErrors:
     def test_precondition_violation(self, capsys):
         code, _, err = run(capsys, "iface", "compose", fx("c_istar.json"), fx("c_top.json"))
         assert code == 2 and "shared outputs" in err
+
+    @pytest.mark.parametrize("section", ["components", "compsets", "contracts", "ag"])
+    def test_behavioral_section_not_object(self, capsys, tmp_path, section):
+        doc = tmp_path / "beh.json"
+        doc.write_text(json.dumps({"universe": ["0", "1"], section: []}), encoding="utf-8")
+        code, _, err = run(capsys, "beh", "normalize", str(doc), "x")
+        assert code == 2 and f"'{section}' must be a JSON object" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_malformed_state_cap(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("HYPERC_MAX_STATES", raw)
+        code, out, err = run(capsys, "lang", "refines", fx("sigma.json"), fx("istar.json"))
+        assert (code, out) == (2, "")
+        assert err == f"error: HYPERC_MAX_STATES must be a positive integer, got {raw!r}\n"
 
 
 class TestCommandTable:

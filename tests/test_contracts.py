@@ -22,6 +22,7 @@ from hyperc.contracts import (
 from hyperc.errors import SignatureMismatch, ValidationError
 from hyperc.lang import Alphabet, IoSignature, is_subset, sigma_star, star_of
 from hyperc.oracle import BoundedCheckConfig, random_prefix_closed
+from hyperc.receptive import unc
 
 AB1 = Alphabet(("a",))
 
@@ -127,6 +128,26 @@ class TestCompose:
         c1 = from_s(lang_of(AB1, "", "a"), IoSignature(AB1, frozenset()))
         c2 = from_s(lang_of(AB1, ""), IoSignature(AB1, frozenset({"a"})))
         assert isinstance(compose(c1, c2), Incompatible)
+
+    def test_matches_closed_form(self):
+        # R = (S ∩ S') \ [Unc(S', S, O, O') ∪ Unc(S, S', O', O)] in full; the
+        # composition is Incompatible exactly when R is empty.
+        cfg = BoundedCheckConfig(max_states=4)
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(40):
+            c1, c2 = _contract_pair(rng, cfg, Alphabet(("a", "b", "c")))
+            o1, o2 = c1.io.outputs, c2.io.outputs
+            removed = unc(c2.s, c1.s, o1, o2).union(unc(c1.s, c2.s, o2, o1))
+            r = c1.s.intersect(c2.s).difference(removed)
+            composed = compose(c1, c2)
+            outcomes.add(isinstance(composed, Incompatible))
+            if r.is_empty():
+                assert composed == Incompatible()
+            else:
+                assert composed.s == r
+                assert composed.io.inputs == c1.io.inputs & c2.io.inputs
+        assert outcomes == {True, False}
 
     def test_tops_compatible(self, ab, top):
         r = compose(

@@ -142,3 +142,7 @@ class TestBehavioralDocs:
         raw = {"universe": ["0"], "components": {"c": ["1"]}}
         with pytest.raises(DocumentError, match="unknown behavior"):
             jsonio.parse_behavioral(raw)
+
+    def test_document_not_object(self):
+        with pytest.raises(DocumentError, match="behavioral document must be a JSON object"):
+            jsonio.parse_behavioral(["0", "1"])

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_words, lang_of
-from hyperc.errors import AlphabetMismatch, LimitExceeded
+from hyperc.errors import AlphabetMismatch, HypercError, LimitExceeded
 from hyperc.lang import (
     Alphabet,
     RegularLanguage,
+    _canonicalize,
     boolean_op,
     concat_sigma_star,
     concat_symbol_class,
+    counterexample,
     empty_language,
     enumerate_words,
     from_words,
@@ -21,8 +23,10 @@ from hyperc.lang import (
     is_receptive,
     is_subset,
     prefix_closure,
+    product_map,
     sigma_star,
     star_of,
+    state_cap,
     word_str,
 )
 
@@ -39,6 +43,79 @@ def dfas(draw, alphabet: Alphabet, max_states: int = 5) -> RegularLanguage:
 
 AB2 = Alphabet(("i", "o"))
 AB3 = Alphabet(("a", "b", "c"))
+ALPHABETS = [Alphabet(tuple("abcd"[:k])) for k in range(1, 5)]
+
+
+@st.composite
+def raw_dfas(draw, alphabet: Alphabet, max_states: int = 40) -> RegularLanguage:
+    """Unminimized DFAs: a random initial state leaves some states
+    unreachable, and up to three copies of the automaton, with each edge
+    led into a random copy, give many equivalent states."""
+    n = draw(st.integers(1, max_states))
+    k = len(alphabet)
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    initial = draw(st.integers(0, n - 1))
+    copies = draw(st.integers(1, 3))
+    edges = n * k * copies
+    into = draw(st.lists(st.integers(0, copies - 1), min_size=edges, max_size=edges))
+    delta = [
+        [into[(c * n + q) * k + j] * n + targets[q * k + j] for j in range(k)]
+        for c in range(copies)
+        for q in range(n)
+    ]
+    return RegularLanguage(
+        alphabet, initial, frozenset(c * n + q for c in range(copies) for q in accepting), delta
+    )
+
+
+@st.composite
+def raw_dfa_pairs(draw) -> tuple[RegularLanguage, RegularLanguage]:
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    return draw(raw_dfas(alphabet)), draw(raw_dfas(alphabet))
+
+
+def reference_moore(lang: RegularLanguage) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+    """Straightforward Moore refinement over state dicts: the reference the
+    column-wise `_canonicalize` must reproduce exactly."""
+    nsym = len(lang.alphabet)
+    order = [lang.initial]
+    seen = {lang.initial}
+    for q in order:
+        for k in range(nsym):
+            t = lang.delta[q][k]
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    block = {q: (1 if q in lang.accepting else 0) for q in order}
+    nblocks = len(set(block.values()))
+    while True:
+        sigs: dict[tuple, int] = {}
+        nxt: dict[int, int] = {}
+        for q in order:
+            sig = (block[q],) + tuple(block[lang.delta[q][k]] for k in range(nsym))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            nxt[q] = sigs[sig]
+        block = nxt
+        if len(sigs) == nblocks:
+            break
+        nblocks = len(sigs)
+    rep: dict[int, int] = {}
+    for q in order:
+        rep.setdefault(block[q], q)
+    bfs = [block[lang.initial]]
+    idx = {block[lang.initial]: 0}
+    for b in bfs:
+        q = rep[b]
+        for k in range(nsym):
+            tb = block[lang.delta[q][k]]
+            if tb not in idx:
+                idx[tb] = len(bfs)
+                bfs.append(tb)
+    delta = tuple(tuple(idx[block[lang.delta[rep[b]][k]]] for k in range(nsym)) for b in bfs)
+    accepting = frozenset(idx[b] for b in bfs if rep[b] in lang.accepting)
+    return accepting, delta
 
 
 class TestBooleanOps:
@@ -184,6 +261,81 @@ class TestCanonical:
         assert c.canonical() is c
         for w in all_words(AB3, 4):
             assert c.accepts(w) == a.accepts(w)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_moore(self, data):
+        a = data.draw(raw_dfas(data.draw(st.sampled_from(ALPHABETS))))
+        c = _canonicalize(a)
+        assert c.initial == 0
+        assert (c.accepting, c.delta) == reference_moore(a)
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
+    def test_one_state_and_empty(self, alphabet):
+        k = len(alphabet)
+        for accepting in (frozenset(), frozenset({0})):
+            c = _canonicalize(RegularLanguage(alphabet, 0, accepting, ((0,) * k,)))
+            assert (c.accepting, c.delta) == (accepting, ((0,) * k,))
+        # A 3-state automaton with no accepting state is the 1-state empty language.
+        empty = RegularLanguage(alphabet, 2, frozenset(), ((1,) * k, (2,) * k, (0,) * k))
+        c = _canonicalize(empty)
+        assert (c.accepting, c.delta) == reference_moore(empty) == (frozenset(), ((0,) * k,))
+
+
+class TestCounterexample:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=raw_dfa_pairs())
+    def test_matches_full_product_and_difference(self, pair):
+        a, b = pair
+        pairs, _rows = product_map(a, b)
+        bad = any(q in a.accepting and r not in b.accepting for q, r in pairs)
+        w = counterexample(a, b)
+        assert (w is None) == (not bad) == is_subset(a, b)
+        assert w == a.difference(b).shortest_member()
+        if w is not None:
+            assert a.accepts(w) and not b.accepts(w)
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
+    def test_one_state_and_empty(self, alphabet):
+        top, empty = sigma_star(alphabet), empty_language(alphabet)
+        assert counterexample(top, empty) == ()
+        assert counterexample(empty, top) is None
+        assert counterexample(empty, empty) is None
+        assert counterexample(top, top) is None
+        last = alphabet.symbols[-1]
+        assert counterexample(top, star_of(alphabet, alphabet.symbols[:-1])) == (last,)
+
+    def test_alphabet_mismatch(self, istar):
+        with pytest.raises(AlphabetMismatch):
+            counterexample(istar, sigma_star(AB3))
+
+
+class TestStateCap:
+    def test_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("HYPERC_MAX_STATES", raising=False)
+        assert state_cap() == 10_000
+        monkeypatch.setenv("HYPERC_MAX_STATES", "")
+        assert state_cap() == 10_000
+        monkeypatch.setenv("HYPERC_MAX_STATES", "7")
+        assert state_cap() == 7
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+    def test_malformed_value_rejected(self, monkeypatch, istar, top, raw):
+        monkeypatch.setenv("HYPERC_MAX_STATES", raw)
+        with pytest.raises(HypercError, match=f"HYPERC_MAX_STATES .*{raw!r}"):
+            state_cap()
+        with pytest.raises(HypercError, match="HYPERC_MAX_STATES"):
+            is_subset(istar, top)
+
+    def test_cap_bounds_exploration(self, monkeypatch, ab, istar, iostar):
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        with pytest.raises(LimitExceeded, match="state cap 1"):
+            product_map(istar, iostar)
+        with pytest.raises(LimitExceeded, match="state cap 1"):
+            counterexample(istar, sigma_star(ab))
+        # The witness ε lies at the initial pair, before any pair is added.
+        assert counterexample(istar, iostar) == ()
 
 
 class TestEnumerate:
