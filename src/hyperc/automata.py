@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract, from_s
-from .errors import SignatureMismatch, ValidationError
-from .lang import IoSignature, RegularLanguage
+from .errors import LimitExceeded, SignatureMismatch, ValidationError
+from .lang import IoSignature, RegularLanguage, _explore, state_cap
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def language(a: InterfaceAutomaton) -> RegularLanguage:
     delta = tuple(
         tuple(sink if t is None else t for t in row) for row in a.trans
     ) + ((sink,) * nsym,)
-    return RegularLanguage(
+    return RegularLanguage._trusted(
         a.io.alphabet, a.initial, frozenset(range(a.n_states)), delta
     ).canonical()
 
@@ -118,7 +118,13 @@ def refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
     alphabet = a1.io.alphabet
     out_idx = [alphabet.index(s) for s in alphabet.symbols if s not in a1.io.inputs]
     in_idx = [alphabet.index(s) for s in alphabet.symbols if s in a1.io.inputs]
-    related = {(q1, q2) for q1 in range(a1.n_states) for q2 in range(a2.n_states)}
+    n1, n2 = a1.n_states, a2.n_states
+    cap = state_cap()
+    if n1 * n2 > cap:
+        raise LimitExceeded(
+            f"refinement relation of {n1}×{n2} pairs exceeds state cap {cap} (HYPERC_MAX_STATES)"
+        )
+    related = {(q1, q2) for q1 in range(n1) for q2 in range(n2)}
     changed = True
     while changed:
         changed = False
@@ -161,29 +167,18 @@ def compose_detailed(
     if a1.io.inputs | a2.io.inputs != frozenset(alphabet.symbols):
         shared = a1.io.outputs & a2.io.outputs
         raise SignatureMismatch(f"shared outputs: {sorted(shared)}")
-    nsym = len(alphabet)
     o1 = {alphabet.index(s) for s in a1.io.outputs}
     o2 = {alphabet.index(s) for s in a2.io.outputs}
     out_idx = o1 | o2
-    # Reachable product.
-    pairs: list[tuple[int, int]] = [(a1.initial, a2.initial)]
-    index = {pairs[0]: 0}
-    rows: list[list[int | None]] = []
-    for q1, q2 in pairs:
-        row: list[int | None] = []
-        for k in range(nsym):
-            t1, t2 = a1.trans[q1][k], a2.trans[q2][k]
-            if t1 is None or t2 is None:
-                row.append(None)
-                continue
-            t = (t1, t2)
-            j = index.get(t)
-            if j is None:
-                j = len(pairs)
-                index[t] = j
-                pairs.append(t)
-            row.append(j)
-        rows.append(row)
+    # Reachable product; a symbol is enabled where both sides enable it.
+    t1s, t2s = a1.trans, a2.trans
+    pairs, rows = _explore(
+        (a1.initial, a2.initial),
+        lambda pair: [
+            None if t1 is None or t2 is None else (t1, t2)
+            for t1, t2 in zip(t1s[pair[0]], t2s[pair[1]])
+        ],
+    )
 
     def pair_name(i: int) -> str:
         q1, q2 = pairs[i]
@@ -214,25 +209,12 @@ def compose_detailed(
     if 0 in invalid:
         return Incompatible(), pruned
     # Remove invalid states and the transitions touching them, then re-trim.
-    order = [0]
-    seen = {0}
-    for i in order:
-        for k in range(nsym):
-            t = rows[i][k]
-            if t is not None and t not in invalid and t not in seen:
-                seen.add(t)
-                order.append(t)
-    new_idx = {i: k for k, i in enumerate(order)}
-    trans = tuple(
-        tuple(
-            None if rows[i][k] is None or rows[i][k] in invalid else new_idx[rows[i][k]]
-            for k in range(nsym)
-        )
-        for i in order
+    order, trans = _explore(
+        0, lambda i: [None if t is None or t in invalid else t for t in rows[i]]
     )
     io = IoSignature(alphabet, a1.io.inputs & a2.io.inputs)
     names = tuple(pair_name(i) for i in order)
-    return InterfaceAutomaton(io, names, 0, trans), pruned
+    return InterfaceAutomaton(io, names, 0, tuple(trans)), pruned
 
 
 def compose(

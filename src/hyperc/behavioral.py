@@ -112,7 +112,7 @@ def component_quotient(c: Component, c2: Component) -> Component:
     return Component(c.universe, _quotient_mask(c.mask, c2.mask, c.universe.full_mask))
 
 
-# -- mask-level conic core (single source of truth for the wrappers) ----------
+# -- mask-level conic core (single source of truth for ConicCompset) ---------
 
 
 def _quotient_mask(target: int, divisor: int, full: int) -> int:
@@ -238,30 +238,6 @@ class ConicCompset:
         return GeneralCompset(self.universe, frozenset(members))
 
 
-def normalize_conic(universe: Universe, components: Iterable[Component | int]) -> ConicCompset:
-    return ConicCompset.from_components(universe, components)
-
-
-def conic_leq(a: ConicCompset, b: ConicCompset) -> bool:
-    return a.leq(b)
-
-
-def conic_compose(a: ConicCompset, b: ConicCompset) -> ConicCompset:
-    return a.compose(b)
-
-
-def conic_meet(a: ConicCompset, b: ConicCompset) -> ConicCompset:
-    return a.meet(b)
-
-
-def conic_join(a: ConicCompset, b: ConicCompset) -> ConicCompset:
-    return a.join(b)
-
-
-def conic_quotient(a: ConicCompset, b: ConicCompset) -> ConicCompset:
-    return a.quotient(b)
-
-
 # -- general mode --------------------------------------------------------------
 
 
@@ -329,22 +305,6 @@ class GeneralCompset:
 
     def maximals(self) -> ConicCompset:
         return ConicCompset(self.universe, normalize_masks(self.members)) if self.members else ConicCompset.empty(self.universe)
-
-
-def general_compose(a: GeneralCompset, b: GeneralCompset) -> GeneralCompset:
-    return a.compose(b)
-
-
-def general_quotient(a: GeneralCompset, b: GeneralCompset) -> GeneralCompset:
-    return a.quotient(b)
-
-
-def general_meet(a: GeneralCompset, b: GeneralCompset) -> GeneralCompset:
-    return a.meet(b)
-
-
-def general_join(a: GeneralCompset, b: GeneralCompset) -> GeneralCompset:
-    return a.join(b)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from .lang import word_str
 #: Which library operations each subcommand exposes (the coverage test keys
 #: off this table; every public operation appears under exactly one verb).
 OPERATIONS: dict[str, tuple[str, ...]] = {
-    "lang union": ("lang.union", "receptive.join"),
-    "lang intersect": ("lang.intersect", "receptive.meet"),
-    "lang difference": ("lang.difference",),
-    "lang complement": ("lang.complement",),
+    "lang union": ("lang.RegularLanguage.union", "receptive.join"),
+    "lang intersect": ("lang.RegularLanguage.intersect", "receptive.meet"),
+    "lang difference": ("lang.RegularLanguage.difference",),
+    "lang complement": ("lang.RegularLanguage.complement",),
     "lang concat-class": ("lang.concat_symbol_class",),
     "lang concat-star": ("lang.concat_sigma_star",),
     "lang prefix-closure": ("lang.prefix_closure",),
@@ -48,20 +48,28 @@ OPERATIONS: dict[str, tuple[str, ...]] = {
     "ia language": ("automata.language",),
     "ia to-contract": ("automata.to_contract",),
     "beh compose": (
-        "behavioral.conic_compose",
+        "behavioral.ConicCompset.compose",
         "behavioral.contract_compose",
-        "behavioral.general_compose",
+        "behavioral.GeneralCompset.compose",
     ),
     "beh quotient": (
         "behavioral.component_quotient",
-        "behavioral.conic_quotient",
+        "behavioral.ConicCompset.quotient",
         "behavioral.contract_quotient",
-        "behavioral.general_quotient",
+        "behavioral.GeneralCompset.quotient",
     ),
-    "beh meet": ("behavioral.conic_meet", "behavioral.contract_meet", "behavioral.general_meet"),
-    "beh join": ("behavioral.conic_join", "behavioral.contract_join", "behavioral.general_join"),
-    "beh refines": ("behavioral.conic_leq", "behavioral.contract_refines"),
-    "beh normalize": ("behavioral.normalize_conic",),
+    "beh meet": (
+        "behavioral.ConicCompset.meet",
+        "behavioral.contract_meet",
+        "behavioral.GeneralCompset.meet",
+    ),
+    "beh join": (
+        "behavioral.ConicCompset.join",
+        "behavioral.contract_join",
+        "behavioral.GeneralCompset.join",
+    ),
+    "beh refines": ("behavioral.ConicCompset.leq", "behavioral.contract_refines"),
+    "beh normalize": ("behavioral.ConicCompset.from_components",),
     "beh saturated": ("behavioral.is_saturated",),
     "beh convexity": ("behavioral.convexity",),
     "beh merge-weak": ("behavioral.ag_merge_weak",),
@@ -343,7 +351,7 @@ def _general_pair(c: behavioral.BehavioralHypercontract):
     return c.env.to_general(), c.impl.to_general()
 
 
-def _contract_from_general(universe, pair) -> behavioral.BehavioralHypercontract:
+def _contract_from_general(pair) -> behavioral.BehavioralHypercontract:
     env, impl = pair
     return behavioral.BehavioralHypercontract(env.maximals(), impl.maximals())
 
@@ -367,10 +375,8 @@ def run_beh(cmd: Command) -> tuple[str, int]:
         if all(k == "compset" for k, _ in kinds):
             a, b = kinds[0][1], kinds[1][1]
             if args.general:
-                op = getattr(behavioral, f"general_{verb}")
-                return compset_result(op(a.to_general(), b.to_general()).maximals())
-            op = getattr(behavioral, f"conic_{verb}")
-            return compset_result(op(a, b))
+                return compset_result(getattr(a.to_general(), verb)(b.to_general()).maximals())
+            return compset_result(getattr(a, verb)(b))
         a, b = _as_contract(doc, names[0]), _as_contract(doc, names[1])
         if args.general:
             general_op = {
@@ -382,14 +388,14 @@ def run_beh(cmd: Command) -> tuple[str, int]:
                 raise HypercError("general mode does not expose a contract quotient")
             pair = general_op(_general_pair(a), _general_pair(b))
             return cmd.doc(
-                jsonio.behavioral_contract_doc(_contract_from_general(doc.universe, pair))
+                jsonio.behavioral_contract_doc(_contract_from_general(pair))
             )
         op = getattr(behavioral, f"contract_{verb}")
         return cmd.doc(jsonio.behavioral_contract_doc(op(a, b)))
     if verb == "refines":
         kinds = [_resolve(doc, n) for n in names]
         if all(k == "compset" for k, _ in kinds):
-            return cmd.predicate(behavioral.conic_leq(kinds[0][1], kinds[1][1]))
+            return cmd.predicate(kinds[0][1].leq(kinds[1][1]))
         a, b = _as_contract(doc, names[0]), _as_contract(doc, names[1])
         return cmd.predicate(behavioral.contract_refines(a, b))
     if verb == "normalize":
@@ -421,7 +427,7 @@ def run_beh(cmd: Command) -> tuple[str, int]:
             a, b = _as_contract(doc, names[0]), _as_contract(doc, names[1])
             pair = behavioral.strong_merge_general(_general_pair(a), _general_pair(b))
             return cmd.doc(
-                jsonio.behavioral_contract_doc(_contract_from_general(doc.universe, pair))
+                jsonio.behavioral_contract_doc(_contract_from_general(pair))
             )
         raise HypercError("ag-compose expects two assume-guarantee contract names")
     if verb == "merge-weak":

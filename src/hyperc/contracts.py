@@ -50,14 +50,22 @@ class InterfaceHypercontract:
             raise ValidationError(f"S not prefix-closed at witness {word_str(w)}")
         if not s.accepts(()):
             raise ValidationError("S must contain the empty word")
-        e = s.union(miss_ext(s, s, self.io.outputs))
-        m = s.union(miss_ext(s, s, self.io.inputs))
-        object.__setattr__(self, "_e", e)
-        object.__setattr__(self, "_m", m)
-        # Structural facts about the construction; cheap to keep honest.
-        assert e.intersect(m) == s
-        assert is_receptive(e, self.io.outputs) and is_prefix_closed(e)
-        assert is_receptive(m, self.io.inputs) and is_prefix_closed(m)
+        self._derive()
+
+    @classmethod
+    def _trusted(cls, s: RegularLanguage, io: IoSignature) -> "InterfaceHypercontract":
+        """Trusted constructor for composition results, whose S is already
+        prefix-closed and holds ε: canonicalizes S and derives E_S and M_S."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "s", s.canonical())
+        object.__setattr__(self, "io", io)
+        self._derive()
+        return self
+
+    def _derive(self) -> None:
+        s = self.s
+        object.__setattr__(self, "_e", s.union(miss_ext(s, s, self.io.outputs)))
+        object.__setattr__(self, "_m", s.union(miss_ext(s, s, self.io.inputs)))
 
     @property
     def e(self) -> RegularLanguage:
@@ -133,12 +141,12 @@ def compose(
     if unc2.accepts(()):
         return Incompatible()
     r = c1.s.intersect(c2.s).difference(unc1.union(unc2))
-    return InterfaceHypercontract(r, IoSignature(c1.io.alphabet, c1.io.inputs & c2.io.inputs))
+    return InterfaceHypercontract._trusted(r, IoSignature(c1.io.alphabet, c1.io.inputs & c2.io.inputs))
 
 
 def mirror(c: InterfaceHypercontract) -> InterfaceHypercontract:
     """Swap the environment and implementation roles: same S, swapped io."""
-    return InterfaceHypercontract(c.s, c.io.swapped())
+    return InterfaceHypercontract._trusted(c.s, c.io.swapped())
 
 
 def quotient(

@@ -141,6 +141,20 @@ class RegularLanguage:
             if len(row) != nsym or not all(0 <= t < n for t in row):
                 raise ValueError("delta must be total with targets in range")
 
+    @classmethod
+    def _trusted(
+        cls, alphabet: Alphabet, initial: int, accepting: frozenset[int], delta: tuple[tuple[int, ...], ...]
+    ) -> "RegularLanguage":
+        """Trusted constructor for automata built by this package: the fields
+        are stored as given (a frozenset and a tuple of tuples, total and in
+        range), without the copies and checks of the public constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "delta", delta)
+        return self
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -211,7 +225,7 @@ class RegularLanguage:
 
     def complement(self) -> "RegularLanguage":
         flipped = frozenset(range(self.n_states)) - self.accepting
-        return RegularLanguage(self.alphabet, self.initial, flipped, self.delta).canonical()
+        return RegularLanguage._trusted(self.alphabet, self.initial, flipped, self.delta).canonical()
 
     def union(self, other: "RegularLanguage") -> "RegularLanguage":
         return _binary(self, other, lambda a, b: a or b)
@@ -237,33 +251,17 @@ def boolean_op(kind: str, lang: RegularLanguage, other: RegularLanguage | None =
         raise ValueError(f"unknown boolean operation {kind!r}") from None
 
 
-def union(a: RegularLanguage, b: RegularLanguage) -> RegularLanguage:
-    return a.union(b)
-
-
-def intersect(a: RegularLanguage, b: RegularLanguage) -> RegularLanguage:
-    return a.intersect(b)
-
-
-def difference(a: RegularLanguage, b: RegularLanguage) -> RegularLanguage:
-    return a.difference(b)
-
-
-def complement(a: RegularLanguage) -> RegularLanguage:
-    return a.complement()
-
-
 # -- construction helpers ---------------------------------------------------
 
 
 def empty_language(alphabet: Alphabet) -> RegularLanguage:
     n = len(alphabet)
-    return RegularLanguage(alphabet, 0, frozenset(), ((0,) * n,)).canonical()
+    return RegularLanguage._trusted(alphabet, 0, frozenset(), ((0,) * n,)).canonical()
 
 
 def sigma_star(alphabet: Alphabet) -> RegularLanguage:
     n = len(alphabet)
-    return RegularLanguage(alphabet, 0, frozenset({0}), ((0,) * n,)).canonical()
+    return RegularLanguage._trusted(alphabet, 0, frozenset({0}), ((0,) * n,)).canonical()
 
 
 def star_of(alphabet: Alphabet, symbols: Iterable[str]) -> RegularLanguage:
@@ -271,7 +269,7 @@ def star_of(alphabet: Alphabet, symbols: Iterable[str]) -> RegularLanguage:
     keep = alphabet.subset(symbols)
     row0 = tuple(0 if s in keep else 1 for s in alphabet.symbols)
     row1 = (1,) * len(alphabet)
-    return RegularLanguage(alphabet, 0, frozenset({0}), (row0, row1)).canonical()
+    return RegularLanguage._trusted(alphabet, 0, frozenset({0}), (row0, row1)).canonical()
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word]) -> RegularLanguage:
@@ -295,7 +293,7 @@ def from_words(alphabet: Alphabet, words: Iterable[Word]) -> RegularLanguage:
     delta = tuple(
         tuple(children[q].get(k, sink) for k in range(len(alphabet))) for q in range(len(children))
     ) + ((sink,) * len(alphabet),)
-    return RegularLanguage(alphabet, 0, frozenset(accepting), delta).canonical()
+    return RegularLanguage._trusted(alphabet, 0, frozenset(accepting), delta).canonical()
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -355,7 +353,7 @@ def _canonicalize(lang: RegularLanguage) -> RegularLanguage:
     rows = tuple(zip(*[[idx[block[col[i]]] for i in reps] for col in cols]))
     # Numbers taken from idx are the int objects the rows already hold.
     accepting = frozenset(j for b, j in idx.items() if order[rep[b]] in lang.accepting)
-    return RegularLanguage(lang.alphabet, 0, accepting, rows)
+    return RegularLanguage._trusted(lang.alphabet, 0, accepting, rows)
 
 
 # -- products ---------------------------------------------------------------
@@ -366,28 +364,42 @@ def check_same_alphabet(a: RegularLanguage, b: RegularLanguage) -> None:
         raise AlphabetMismatch("alphabet mismatch")
 
 
-def product_map(a: RegularLanguage, b: RegularLanguage) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """Reachable product automaton; pair 0 is the joint initial state."""
-    check_same_alphabet(a, b)
-    nsym = len(a.alphabet)
+def _explore(start, successors: Callable) -> tuple[list, list[tuple]]:
+    """Breadth-first exploration of the states reachable from `start`.
+
+    `successors(state)` gives a state's successor keys in symbol order, None
+    for a missing transition.  States are numbered in discovery order, so
+    `start` is 0; rows[i] lists the numbers of states[i]'s successors, with
+    None passed through.  Raises LimitExceeded when the states reached would
+    exceed `state_cap()`.
+    """
     cap = state_cap()
-    pairs: list[tuple[int, int]] = [(a.initial, b.initial)]
-    index = {pairs[0]: 0}
-    rows: list[tuple[int, ...]] = []
-    for q, r in pairs:
+    states = [start]
+    index = {start: 0}
+    rows = []
+    for state in states:
         row = []
-        for k in range(nsym):
-            t = (a.delta[q][k], b.delta[r][k])
+        for t in successors(state):
+            if t is None:
+                row.append(None)
+                continue
             j = index.get(t)
             if j is None:
-                j = len(pairs)
+                j = len(states)
                 if j >= cap:
                     raise LimitExceeded(f"product exceeds state cap {cap} ({_ENV_MAX_STATES})")
                 index[t] = j
-                pairs.append(t)
+                states.append(t)
             row.append(j)
         rows.append(tuple(row))
-    return pairs, rows
+    return states, rows
+
+
+def product_map(a: RegularLanguage, b: RegularLanguage) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """Reachable product automaton; pair 0 is the joint initial state."""
+    check_same_alphabet(a, b)
+    da, db = a.delta, b.delta
+    return _explore((a.initial, b.initial), lambda pair: zip(da[pair[0]], db[pair[1]]))
 
 
 def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable[[bool, bool], bool]) -> RegularLanguage:
@@ -395,7 +407,7 @@ def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable[[bool, bool],
     accepting = frozenset(
         i for i, (q, r) in enumerate(pairs) if keep(q in a.accepting, r in b.accepting)
     )
-    return RegularLanguage(a.alphabet, 0, accepting, tuple(rows)).canonical()
+    return RegularLanguage._trusted(a.alphabet, 0, accepting, tuple(rows)).canonical()
 
 
 # -- concatenation-shaped operators ------------------------------------------
@@ -404,48 +416,28 @@ def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable[[bool, bool],
 def concat_symbol_class(lang: RegularLanguage, symbols: Iterable[str]) -> RegularLanguage:
     """{ w∘σ | w ∈ L, σ ∈ Γ }: one-symbol extensions of L by the class Γ."""
     keep = lang.alphabet.subset(symbols)
-    nsym = len(lang.alphabet)
-    gset = {lang.alphabet.index(s) for s in keep}
+    in_class = tuple(s in keep for s in lang.alphabet.symbols)
+    no_class = (False,) * len(in_class)
+    delta, accepting = lang.delta, lang.accepting
     # Deterministic directly: track (state, last-step-was-a-Γ-jump-from-accepting).
-    pairs: list[tuple[int, bool]] = [(lang.initial, False)]
-    index = {pairs[0]: 0}
-    rows: list[tuple[int, ...]] = []
-    for q, _flag in pairs:
-        row = []
-        for k in range(nsym):
-            t = (lang.delta[q][k], q in lang.accepting and k in gset)
-            j = index.get(t)
-            if j is None:
-                j = len(pairs)
-                index[t] = j
-                pairs.append(t)
-            row.append(j)
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
-    return RegularLanguage(lang.alphabet, 0, accepting, tuple(rows)).canonical()
+    pairs, rows = _explore(
+        (lang.initial, False),
+        lambda pair: zip(delta[pair[0]], in_class if pair[0] in accepting else no_class),
+    )
+    flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
+    return RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)).canonical()
 
 
 def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
     """{ w∘w' | w ∈ L, w' ∈ Σ* }: words having a prefix in L."""
-    nsym = len(lang.alphabet)
-    start = (lang.initial, lang.initial in lang.accepting)
-    pairs: list[tuple[int, bool]] = [start]
-    index = {start: 0}
-    rows: list[tuple[int, ...]] = []
-    for q, flag in pairs:
-        row = []
-        for k in range(nsym):
-            tq = lang.delta[q][k]
-            t = (tq, flag or tq in lang.accepting)
-            j = index.get(t)
-            if j is None:
-                j = len(pairs)
-                index[t] = j
-                pairs.append(t)
-            row.append(j)
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
-    return RegularLanguage(lang.alphabet, 0, accepting, tuple(rows)).canonical()
+    delta, accepting = lang.delta, lang.accepting
+    # Track (state, some-prefix-so-far-is-in-L).
+    pairs, rows = _explore(
+        (lang.initial, lang.initial in accepting),
+        lambda pair: [(t, pair[1] or t in accepting) for t in delta[pair[0]]],
+    )
+    flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
+    return RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)).canonical()
 
 
 def prefix_closure(lang: RegularLanguage) -> RegularLanguage:
@@ -464,7 +456,7 @@ def prefix_closure(lang: RegularLanguage) -> RegularLanguage:
             if q not in live:
                 live.add(q)
                 stack.append(q)
-    return RegularLanguage(lang.alphabet, lang.initial, frozenset(live), lang.delta).canonical()
+    return RegularLanguage._trusted(lang.alphabet, lang.initial, frozenset(live), lang.delta).canonical()
 
 
 # -- decision procedures -------------------------------------------------------
@@ -525,17 +517,27 @@ def enumerate_words(lang: RegularLanguage, max_len: int, limit: int = MAX_ENUM_L
     if max_len > limit:
         raise LimitExceeded(f"enumeration length {max_len} exceeds limit {limit}")
     symbols = lang.alphabet.symbols
-    nsym = len(symbols)
+    delta = lang.delta
+    # live[r]: the states from which some word of length exactly r is
+    # accepted.  Branches into other states are skipped, so every branch
+    # walked ends in an output word and the walk costs O(output · k · max_len)
+    # instead of O(k^max_len).
+    live = [lang.accepting]
+    for _ in range(max_len):
+        prev = live[-1]
+        live.append(frozenset(q for q, row in enumerate(delta) if any(t in prev for t in row)))
     out: list[Word] = []
 
     def walk(q: int, word: tuple[str, ...], remaining: int) -> None:
         if remaining == 0:
-            if q in lang.accepting:
-                out.append(word)
+            out.append(word)
             return
-        for k in range(nsym):
-            walk(lang.delta[q][k], word + (symbols[k],), remaining - 1)
+        ahead = live[remaining - 1]
+        for k, t in enumerate(delta[q]):
+            if t in ahead:
+                walk(t, word + (symbols[k],), remaining - 1)
 
     for length in range(max_len + 1):
-        walk(lang.initial, (), length)
+        if lang.initial in live[length]:
+            walk(lang.initial, (), length)
     return out

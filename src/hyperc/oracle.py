@@ -398,7 +398,9 @@ def sweep_receptive_quotient(cfg: BoundedCheckConfig, samples_per_case: int = 10
 def _compatible_signatures(rng: random.Random, alphabet: Alphabet) -> tuple[IoSignature, IoSignature]:
     i1 = frozenset(s for s in alphabet.symbols if rng.random() < 0.5)
     rest = frozenset(alphabet.symbols) - i1
-    i2 = rest | frozenset(s for s in i1 if rng.random() < 0.5)
+    # Draw in symbol order: iterating the frozenset would tie the draws to
+    # PYTHONHASHSEED.
+    i2 = rest | frozenset(s for s in alphabet.symbols if s in i1 and rng.random() < 0.5)
     return IoSignature(alphabet, i1), IoSignature(alphabet, i2)
 
 

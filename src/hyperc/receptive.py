@@ -49,6 +49,15 @@ class ReceptiveLanguage:
         if not is_subset(star_of(self.io.alphabet, self.io.inputs), self.lang):
             raise ValidationError("language does not contain the bottom language I*")
 
+    @classmethod
+    def _trusted(cls, lang: RegularLanguage, io: IoSignature) -> "ReceptiveLanguage":
+        """Trusted constructor for operator results, which are receptive by
+        construction: canonicalizes `lang` and skips the three checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "lang", lang.canonical())
+        object.__setattr__(self, "io", io)
+        return self
+
     @property
     def alphabet(self) -> Alphabet:
         return self.io.alphabet
@@ -59,12 +68,12 @@ class ReceptiveLanguage:
 
 def bottom(io: IoSignature) -> ReceptiveLanguage:
     """Least element of the lattice: I*."""
-    return ReceptiveLanguage(star_of(io.alphabet, io.inputs), io)
+    return ReceptiveLanguage._trusted(star_of(io.alphabet, io.inputs), io)
 
 
 def top(io: IoSignature) -> ReceptiveLanguage:
     """Greatest element of the lattice: Σ*."""
-    return ReceptiveLanguage(star_of(io.alphabet, io.alphabet.symbols), io)
+    return ReceptiveLanguage._trusted(star_of(io.alphabet, io.alphabet.symbols), io)
 
 
 def _require_same_io(a: ReceptiveLanguage, b: ReceptiveLanguage) -> None:
@@ -74,12 +83,12 @@ def _require_same_io(a: ReceptiveLanguage, b: ReceptiveLanguage) -> None:
 
 def meet(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
     _require_same_io(a, b)
-    return ReceptiveLanguage(a.lang.intersect(b.lang), a.io)
+    return ReceptiveLanguage._trusted(a.lang.intersect(b.lang), a.io)
 
 
 def join(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
     _require_same_io(a, b)
-    return ReceptiveLanguage(a.lang.union(b.lang), a.io)
+    return ReceptiveLanguage._trusted(a.lang.union(b.lang), a.io)
 
 
 def leq(a: ReceptiveLanguage, b: ReceptiveLanguage) -> bool:
@@ -135,7 +144,7 @@ def unc(
                 marked.add(i)
                 stack.append(i)
     accepting = frozenset(i for i in marked if both[i])
-    core = RegularLanguage(lang.alphabet, 0, accepting, tuple(rows))
+    core = RegularLanguage._trusted(lang.alphabet, 0, accepting, tuple(rows))
     return concat_sigma_star(core)
 
 
@@ -147,7 +156,7 @@ def exponential(target: ReceptiveLanguage, other: ReceptiveLanguage) -> Receptiv
     L ∪ MissExt(L, L', O)."""
     _require_same_io(target, other)
     closed = target.lang.union(miss_ext(target.lang, other.lang, target.io.outputs))
-    return ReceptiveLanguage(closed, target.io)
+    return ReceptiveLanguage._trusted(closed, target.io)
 
 
 def exponential_definitional(target: ReceptiveLanguage, other: ReceptiveLanguage) -> RegularLanguage:
@@ -165,7 +174,7 @@ def exponential_definitional(target: ReceptiveLanguage, other: ReceptiveLanguage
     ) + ((dead,) * nsym,)
     accepting = frozenset(i for i in range(n) if not bad[i]) if not bad[0] else frozenset()
     initial = dead if bad[0] else 0
-    return RegularLanguage(lang.alphabet, initial, accepting, delta).canonical()
+    return RegularLanguage._trusted(lang.alphabet, initial, accepting, delta).canonical()
 
 
 # -- composition and quotient ---------------------------------------------------
@@ -180,7 +189,7 @@ def compose(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
             f"shared outputs: {sorted(a.io.outputs & b.io.outputs)}"
         )
     io = IoSignature(a.alphabet, a.io.inputs & b.io.inputs)
-    return ReceptiveLanguage(a.lang.intersect(b.lang), io)
+    return ReceptiveLanguage._trusted(a.lang.intersect(b.lang), io)
 
 
 def quotient_signature(io: IoSignature, io2: IoSignature) -> IoSignature:
@@ -206,7 +215,7 @@ def quotient(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
         raise QuotientUndefined(f"quotient undefined: L' ∩ I_r* ⊄ L at witness {word_str(w)}")
     kept = a.lang.intersect(b.lang).union(miss_ext(a.lang, b.lang, b.io.outputs))
     result = kept.difference(unc(a.lang, b.lang, b.io.outputs, a.io.inputs))
-    return ReceptiveLanguage(result, io_r)
+    return ReceptiveLanguage._trusted(result, io_r)
 
 
 def embed(a: ReceptiveLanguage, inputs: Iterable[str]) -> ReceptiveLanguage:
@@ -214,4 +223,4 @@ def embed(a: ReceptiveLanguage, inputs: Iterable[str]) -> ReceptiveLanguage:
     new = a.alphabet.subset(inputs)
     if not new <= a.io.inputs:
         raise SignatureMismatch("embedding must shrink the input set")
-    return ReceptiveLanguage(a.lang, IoSignature(a.alphabet, new))
+    return ReceptiveLanguage._trusted(a.lang, IoSignature(a.alphabet, new))

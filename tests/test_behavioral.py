@@ -27,16 +27,11 @@ from hyperc.behavioral import (
     contract_quotient,
     contract_refines,
     convexity,
-    general_compose,
     general_contract_compose,
     general_contract_join,
     general_contract_meet,
     general_contract_mirror,
-    general_join,
-    general_meet,
-    general_quotient,
     is_saturated,
-    normalize_conic,
     strong_merge_general,
 )
 from hyperc.errors import UniverseTooLarge
@@ -80,7 +75,7 @@ class TestGeneralOps:
         u = U3
         h = GeneralCompset(u, frozenset({0b011}))
         h2 = GeneralCompset(u, frozenset({0b110}))
-        assert general_compose(h, h2).members == {0b010}
+        assert h.compose(h2).members == {0b010}
 
     def test_quotient_by_top_on_downward_closed(self):
         # exhaustive over all compsets of a 3-behavior universe
@@ -89,7 +84,7 @@ class TestGeneralOps:
         for bits in range(256):
             h = GeneralCompset(u, frozenset(m for m in range(8) if bits >> m & 1))
             if h.is_downward_closed():
-                assert general_quotient(h, top).members == h.members
+                assert h.quotient(top).members == h.members
 
     def test_meet_join_are_set_ops(self):
         rng = random.Random(1)
@@ -97,8 +92,8 @@ class TestGeneralOps:
             a = frozenset(rng.randrange(8) for _ in range(rng.randint(0, 5)))
             b = frozenset(rng.randrange(8) for _ in range(rng.randint(0, 5)))
             ha, hb = GeneralCompset(U3, a), GeneralCompset(U3, b)
-            assert general_meet(ha, hb).members == a & b
-            assert general_join(ha, hb).members == a | b
+            assert ha.meet(hb).members == a & b
+            assert ha.join(hb).members == a | b
 
     def test_general_mode_guard(self):
         big = Universe(tuple(f"b{k}" for k in range(9)))
@@ -108,10 +103,10 @@ class TestGeneralOps:
 
 class TestConicRepresentation:
     def test_normalize_drops_dominated(self):
-        assert normalize_conic(U4, [comp(0), comp(0, 1)]).maximals == (comp(0, 1).mask,)
+        assert ConicCompset.from_components(U4, [comp(0), comp(0, 1)]).maximals == (comp(0, 1).mask,)
 
     def test_normalize_empty(self):
-        assert normalize_conic(U4, []).maximals == ()
+        assert ConicCompset.from_components(U4, []).maximals == ()
 
     def test_denotation_matches_downward_closure(self):
         rng = random.Random(2)
@@ -373,7 +368,7 @@ class TestNonInterference:
             )
 
         ni = [m for m in range(16) if respects_noninterference(m)]
-        maxi = normalize_conic(universe, ni)
+        maxi = ConicCompset.from_components(universe, ni)
         graphs = {
             universe.mask_of([f"p0o{f0}", f"p1o{f1}"]) for f0 in (0, 1) for f1 in (0, 1)
         }

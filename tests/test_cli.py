@@ -4,6 +4,9 @@ the command table."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -296,13 +299,53 @@ class TestErrors:
         assert err == f"error: HYPERC_MAX_STATES must be a positive integer, got {raw!r}\n"
 
 
+class TestStateCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lang", "concat-class", "istar.json", "--gamma", "o"),
+            ("lang", "concat-star", "contains_o.json"),
+            ("ia", "compose", "ia_aout.json", "ia_ain.json"),
+            ("ia", "refines", "ia_aout.json", "ia_aout.json"),
+        ],
+    )
+    def test_construction_over_cap_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        code, out, err = run(capsys, *(fx(a) if a.endswith(".json") else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "state cap 1" in err
+
+    def test_refinement_relation_at_cap(self, capsys, monkeypatch):
+        # ia_aout has two states, so the relation has four pairs.
+        monkeypatch.setenv("HYPERC_MAX_STATES", "4")
+        assert run(capsys, "ia", "refines", fx("ia_aout.json"), fx("ia_aout.json"))[:2] == (0, "true\n")
+        monkeypatch.setenv("HYPERC_MAX_STATES", "3")
+        code, _, err = run(capsys, "ia", "refines", fx("ia_aout.json"), fx("ia_aout.json"))
+        assert code == 2 and "2×2 pairs exceeds state cap 3" in err
+
+
+class TestHashSeed:
+    @pytest.mark.parametrize("kind", ["interface-compose", "ia-equivalence"])
+    def test_oracle_output_independent_of_hash_seed(self, kind):
+        argv = [sys.executable, "-m", "hyperc", "oracle", kind, "--seed", "3", "--cases", "40"]
+        argv += ["--max-len", "5", "--format", "json"]
+        outputs = [
+            subprocess.run(
+                argv, capture_output=True, check=True, env={**os.environ, "PYTHONHASHSEED": seed}
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+
+
 class TestCommandTable:
     def test_every_operation_under_exactly_one_subcommand(self):
         inventory = [op for ops in OPERATIONS.values() for op in ops]
         assert len(inventory) == len(set(inventory))
         documented = {
             "lang": (
-                "union intersect difference complement concat_symbol_class "
+                "RegularLanguage.union RegularLanguage.intersect RegularLanguage.difference "
+                "RegularLanguage.complement concat_symbol_class "
                 "concat_sigma_star prefix_closure canonicalize enumerate_words "
                 "is_subset is_prefix_closed is_receptive"
             ),
@@ -315,9 +358,10 @@ class TestCommandTable:
             ),
             "automata": "refines compose language to_contract",
             "behavioral": (
-                "component_quotient general_compose general_quotient general_meet "
-                "general_join normalize_conic conic_leq conic_compose conic_meet "
-                "conic_join conic_quotient contract_compose contract_quotient "
+                "component_quotient GeneralCompset.compose GeneralCompset.quotient "
+                "GeneralCompset.meet GeneralCompset.join ConicCompset.from_components "
+                "ConicCompset.leq ConicCompset.compose ConicCompset.meet "
+                "ConicCompset.join ConicCompset.quotient contract_compose contract_quotient "
                 "contract_meet contract_join contract_refines ag_to_contract "
                 "ag_compose ag_merge_strong ag_merge_weak is_saturated convexity "
                 "strong_merge_general"
@@ -332,18 +376,13 @@ class TestCommandTable:
             f"{module}.{name}" for module, names in documented.items() for name in names.split()
         }
         assert set(inventory) == expected
-        # and each table target really exists in its module
-        modules = {
-            "lang": hyperc.lang,
-            "receptive": hyperc.receptive,
-            "contracts": hyperc.contracts,
-            "automata": hyperc.automata,
-            "behavioral": hyperc.behavioral,
-            "oracle": hyperc.oracle,
-        }
+        # and each table target really exists, resolved attribute by attribute
         for entry in inventory:
-            module, name = entry.split(".")
-            assert hasattr(modules[module], name), entry
+            target = hyperc
+            for name in entry.split("."):
+                assert hasattr(target, name), entry
+                target = getattr(target, name)
+            assert callable(target), entry
 
     def test_table_matches_registered_subcommands(self):
         parser = build_parser()

@@ -1,0 +1,151 @@
+"""Operator results stay inside their class.
+
+Operators build their results through trusted constructors that skip the
+checks the public constructors run on outside input.  Here every such result
+is passed back through the public, validating constructor, so the structural
+facts those checks enforced are still verified, once, by the test suite.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hyperc import automata, contracts, receptive
+from hyperc.contracts import Incompatible, InterfaceHypercontract
+from hyperc.lang import (
+    IoSignature,
+    RegularLanguage,
+    concat_sigma_star,
+    concat_symbol_class,
+    empty_language,
+    from_words,
+    is_prefix_closed,
+    is_receptive,
+    prefix_closure,
+    sigma_star,
+    star_of,
+)
+from hyperc.oracle import (
+    BoundedCheckConfig,
+    _compatible_signatures,
+    _quotient_operands,
+    random_alphabet,
+    random_dfa,
+    random_ia,
+    random_prefix_closed,
+    random_receptive,
+    random_signature,
+)
+from hyperc.receptive import ReceptiveLanguage
+
+CASES = 60
+MAX_STATES = 4
+
+
+def _some(rng: random.Random, symbols) -> frozenset[str]:
+    return frozenset(s for s in symbols if rng.random() < 0.5)
+
+
+def check_language(lang: RegularLanguage) -> None:
+    assert type(lang.accepting) is frozenset
+    assert type(lang.delta) is tuple and all(type(row) is tuple for row in lang.delta)
+    again = RegularLanguage(lang.alphabet, lang.initial, lang.accepting, lang.delta)
+    assert again.delta == lang.delta and again.accepting == lang.accepting
+
+
+def check_receptive(r: ReceptiveLanguage) -> None:
+    check_language(r.lang)
+    assert r.lang.canonical() is r.lang
+    assert ReceptiveLanguage(r.lang, r.io) == r
+
+
+def check_contract(c: InterfaceHypercontract) -> None:
+    for lang in (c.s, c.e, c.m):
+        check_language(lang)
+    again = InterfaceHypercontract(c.s, c.io)
+    assert (again.s, again.e, again.m) == (c.s, c.e, c.m)
+    assert c.e.intersect(c.m) == c.s
+    assert is_receptive(c.e, c.io.outputs) and is_prefix_closed(c.e)
+    assert is_receptive(c.m, c.io.inputs) and is_prefix_closed(c.m)
+
+
+def test_regular_results():
+    rng = random.Random(11)
+    for _ in range(CASES):
+        alphabet = random_alphabet(rng)
+        a = random_dfa(rng, alphabet, MAX_STATES)
+        b = random_dfa(rng, alphabet, MAX_STATES)
+        gamma, delta = _some(rng, alphabet.symbols), _some(rng, alphabet.symbols)
+        io = random_signature(rng, alphabet)
+        ra = random_receptive(rng, io, MAX_STATES)
+        rb = random_receptive(rng, io, MAX_STATES)
+        for result in (
+            a.canonical(),
+            a.complement(),
+            a.union(b),
+            a.intersect(b),
+            a.difference(b),
+            concat_symbol_class(a, gamma),
+            concat_sigma_star(a),
+            prefix_closure(a),
+            receptive.miss_ext(a, b, gamma),
+            receptive.unc(a, b, gamma, delta),
+            receptive.exponential_definitional(ra, rb),
+            automata.language(random_ia(rng, io, MAX_STATES)),
+            star_of(alphabet, gamma),
+            from_words(alphabet, [tuple(gamma), tuple(delta)]),
+            empty_language(alphabet),
+            sigma_star(alphabet),
+        ):
+            check_language(result)
+
+
+def test_receptive_results():
+    rng = random.Random(12)
+    cfg = BoundedCheckConfig(max_states=MAX_STATES)
+    for _ in range(CASES):
+        alphabet = random_alphabet(rng)
+        io = random_signature(rng, alphabet)
+        a = random_receptive(rng, io, MAX_STATES)
+        b = random_receptive(rng, io, MAX_STATES)
+        io1, io2 = _compatible_signatures(rng, alphabet)
+        x = random_receptive(rng, io1, MAX_STATES)
+        y = random_receptive(rng, io2, MAX_STATES)
+        composite = receptive.compose(x, y)
+        assert composite.io == IoSignature(alphabet, io1.inputs & io2.inputs)
+        dividend, divisor, io_r = _quotient_operands(rng, cfg)
+        q = receptive.quotient(dividend, divisor)
+        assert q.io == io_r
+        for result in (
+            receptive.bottom(io),
+            receptive.top(io),
+            receptive.meet(a, b),
+            receptive.join(a, b),
+            receptive.exponential(a, b),
+            receptive.embed(a, _some(rng, [s for s in alphabet.symbols if s in io.inputs])),
+            composite,
+            q,
+        ):
+            check_receptive(result)
+
+
+def test_contract_results():
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(CASES):
+        alphabet = random_alphabet(rng)
+        io1, io2 = _compatible_signatures(rng, alphabet)
+        c1 = contracts.from_s(random_prefix_closed(rng, alphabet, MAX_STATES), io1)
+        c2 = contracts.from_s(random_prefix_closed(rng, alphabet, MAX_STATES), io2)
+        # A divisor whose outputs lie inside c1's, so the quotient is defined.
+        io3 = IoSignature(alphabet, io1.inputs | _some(rng, alphabet.symbols))
+        c3 = contracts.from_s(random_prefix_closed(rng, alphabet, MAX_STATES), io3)
+        for result in (
+            contracts.mirror(c1),
+            contracts.compose(c1, c2),
+            contracts.quotient(c1, c3),
+        ):
+            if not isinstance(result, Incompatible):
+                check_contract(result)
+                checked += 1
+    assert checked > 2 * CASES

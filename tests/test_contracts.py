@@ -29,7 +29,9 @@ AB1 = Alphabet(("a",))
 
 def _contract_pair(rng, cfg, alphabet):
     i1 = frozenset(s for s in alphabet.symbols if rng.random() < 0.5)
-    i2 = (frozenset(alphabet.symbols) - i1) | frozenset(s for s in i1 if rng.random() < 0.5)
+    i2 = (frozenset(alphabet.symbols) - i1) | frozenset(
+        s for s in alphabet.symbols if s in i1 and rng.random() < 0.5
+    )
     c1 = from_s(random_prefix_closed(rng, alphabet, cfg.max_states), IoSignature(alphabet, i1))
     c2 = from_s(random_prefix_closed(rng, alphabet, cfg.max_states), IoSignature(alphabet, i2))
     return c1, c2

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,6 +357,37 @@ class TestEnumerate:
             enumerate_words(istar, 9)
         with pytest.raises(ValueError):
             enumerate_words(istar, -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        alphabet = data.draw(st.sampled_from(ALPHABETS[:3]))
+        lang = data.draw(raw_dfas(alphabet, max_states=8))
+        max_len = data.draw(st.integers(0, 4))
+        expected = [w for w in all_words(alphabet, max_len) if lang.accepts(w)]
+        assert enumerate_words(lang, max_len) == expected
+
+    def test_one_word_over_twelve_symbols(self, tmp_path):
+        # Without pruning, this walks all 12^8 words (about two minutes).
+        symbols = list("abcdefghijkl")
+        word = "lkjihgfe"
+        states = [f"w{k}" for k in range(len(word) + 1)]
+        doc = {
+            "alphabet": symbols,
+            "states": states,
+            "initial": states[0],
+            "accepting": [states[-1]],
+            "transitions": [[states[k], s, states[k + 1]] for k, s in enumerate(word)],
+        }
+        path = tmp_path / "one_word.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperc", "lang", "enumerate", str(path), "--max-len", "8"],
+            capture_output=True,
+            check=True,
+            timeout=20,
+        )
+        assert proc.stdout == f"{word}\n".encode()
 
 
 class TestHelpers:
