@@ -9,7 +9,6 @@ form (the antichain of maximal components of a downward-closed compset).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -18,7 +17,8 @@ from .errors import LimitExceeded, UniverseTooLarge
 MAX_UNIVERSE = 64
 GENERAL_MODE_MAX = 8
 
-_QUOTIENT_CHOICE_CAP = 1_000_000
+# Bound on the candidates one step of the folded conic quotient may build.
+_QUOTIENT_STEP_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,22 @@ def _quotient_mask(target: int, divisor: int, full: int) -> int:
 
 
 def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Antichain of maximal elements, sorted ascending; denotation unchanged."""
-    uniq = sorted(set(masks))
-    out = [m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq)]
-    return tuple(out)
+    """Antichain of maximal elements, sorted ascending; denotation unchanged.
+
+    Distinct masks are visited by decreasing popcount, so any mask that
+    dominates another comes first, and each mask is tested only against the
+    maximals kept so far (held as complements: m ⊆ o iff m ∧ ¬o = 0)."""
+    kept: list[int] = []
+    complements: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for c in complements:
+            if not m & c:
+                break
+        else:
+            kept.append(m)
+            complements.append(~m)
+    kept.sort()
+    return tuple(kept)
 
 
 def leq_masks(ms: tuple[int, ...], ms2: tuple[int, ...]) -> bool:
@@ -135,25 +147,25 @@ def compose_masks(ms: tuple[int, ...], ms2: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def join_masks(ms: tuple[int, ...], ms2: tuple[int, ...]) -> tuple[int, ...]:
-    return normalize_masks(itertools.chain(ms, ms2))
+    return normalize_masks(ms + ms2)
 
 
 def quotient_masks(ms: tuple[int, ...], ms2: tuple[int, ...], full: int) -> tuple[int, ...]:
-    """Maximals of the residual: one meet  ⋀_{M'∈ms2} M(M')/M'  per choice
-    function M(·): ms2 → ms; at most k^{k'} candidates before pruning."""
-    if not ms2:
-        return (full,)
-    if not ms:
-        return ()
-    if len(ms) ** len(ms2) > _QUOTIENT_CHOICE_CAP:
-        raise LimitExceeded("conic quotient has too many choice functions")
-    out = []
-    for choice in itertools.product(ms, repeat=len(ms2)):
-        acc = full
-        for picked, m2 in zip(choice, ms2):
-            acc &= _quotient_mask(picked, m2, full)
-        out.append(acc)
-    return normalize_masks(out)
+    """Maximals of the residual  ⋀_{M'∈ms2} ↓{M/M' : M ∈ ms},  folded one
+    divisor maximal at a time with  ↓A ∩ ↓B = ↓{a ∧ b : a ∈ A, b ∈ B}  and
+    normalized after every step.  A step builds len(acc)·len(ms) candidates,
+    at most _QUOTIENT_STEP_CAP."""
+    acc: tuple[int, ...] = (full,)
+    for step, m2 in enumerate(ms2, 1):
+        candidates = len(acc) * len(ms)
+        if candidates > _QUOTIENT_STEP_CAP:
+            raise LimitExceeded(
+                f"conic quotient step {step} of {len(ms2)} would build {len(acc)} partial maximals × "
+                f"{len(ms)} dividend maximals = {candidates} candidates, over the cap of {_QUOTIENT_STEP_CAP}"
+            )
+        quotients = [_quotient_mask(m, m2, full) for m in ms]
+        acc = normalize_masks([a & q for a in acc for q in quotients])
+    return acc
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -181,17 +193,32 @@ class ConicCompset:
             raise ValueError("maximals must form a sorted antichain")
 
     @classmethod
+    def _trusted(cls, universe: Universe, maximals: tuple[int, ...]) -> "ConicCompset":
+        """Trusted constructor for compsets built by this module: `maximals`
+        is already a sorted antichain (a tuple) of masks inside the universe,
+        stored as given without re-normalizing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "maximals", maximals)
+        return self
+
+    @classmethod
     def from_components(cls, universe: Universe, components: Iterable[Component | int]) -> "ConicCompset":
-        masks = [c.mask if isinstance(c, Component) else c for c in components]
-        return cls(universe, normalize_masks(masks))
+        maximals = normalize_masks(c.mask if isinstance(c, Component) else c for c in components)
+        # A mask outside the universe is dominated only by masks outside it,
+        # so checking the maximals checks every component.
+        full = universe.full_mask
+        if any(m & ~full for m in maximals):
+            raise ValueError("maximal component leaves its universe")
+        return cls._trusted(universe, maximals)
 
     @classmethod
     def empty(cls, universe: Universe) -> "ConicCompset":
-        return cls(universe, ())
+        return cls._trusted(universe, ())
 
     @classmethod
     def full(cls, universe: Universe) -> "ConicCompset":
-        return cls(universe, (universe.full_mask,))
+        return cls._trusted(universe, (universe.full_mask,))
 
     @property
     def k(self) -> int:
@@ -213,7 +240,7 @@ class ConicCompset:
 
     def compose(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset(self.universe, compose_masks(self.maximals, other.maximals))
+        return ConicCompset._trusted(self.universe, compose_masks(self.maximals, other.maximals))
 
     def meet(self, other: "ConicCompset") -> "ConicCompset":
         # Intersection of downward-closed sets; coincides with composition
@@ -222,11 +249,11 @@ class ConicCompset:
 
     def join(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset(self.universe, join_masks(self.maximals, other.maximals))
+        return ConicCompset._trusted(self.universe, join_masks(self.maximals, other.maximals))
 
     def quotient(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset(
+        return ConicCompset._trusted(
             self.universe,
             quotient_masks(self.maximals, other.maximals, self.universe.full_mask),
         )
@@ -304,7 +331,7 @@ class GeneralCompset:
         )
 
     def maximals(self) -> ConicCompset:
-        return ConicCompset(self.universe, normalize_masks(self.members)) if self.members else ConicCompset.empty(self.universe)
+        return ConicCompset._trusted(self.universe, normalize_masks(self.members))
 
 
 @dataclass(frozen=True)
@@ -440,8 +467,8 @@ class AgContract:
 def ag_to_contract(ag: AgContract) -> BehavioralHypercontract:
     """Environments ⟨A⟩ and implementations ⟨G/A⟩, both 1-conic."""
     u = ag.universe
-    env = ConicCompset(u, (ag.assumptions.mask,))
-    impl = ConicCompset(u, (component_quotient(ag.guarantees, ag.assumptions).mask,))
+    env = ConicCompset._trusted(u, (ag.assumptions.mask,))
+    impl = ConicCompset._trusted(u, (component_quotient(ag.guarantees, ag.assumptions).mask,))
     return BehavioralHypercontract(env, impl)
 
 

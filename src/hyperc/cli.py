@@ -220,6 +220,8 @@ def run_lang(cmd: Command) -> tuple[str, int]:
             return cmd.doc(jsonio.receptive_doc(value))
         return cmd.doc(jsonio.language_doc(cmd.language(args.files[0])))
     if verb == "enumerate":
+        if args.max_len < 0:
+            raise HypercError(f"--max-len must be nonnegative, got {args.max_len}")
         value = cmd.language(args.files[0])
         words = lang.enumerate_words(value, args.max_len)
         if args.format == "json":

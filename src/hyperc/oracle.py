@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from . import automata, contracts
 from .behavioral import ConicCompset, Universe, all_antichains
-from .errors import HypercError, LimitExceeded
+from .errors import HypercError, LimitExceeded, ValidationError
 from .lang import (
     Alphabet,
     IoSignature,
@@ -51,6 +51,10 @@ class BoundedCheckConfig:
     def __post_init__(self):
         if not 0 <= self.max_word_len <= MAX_WORD_LEN:
             raise LimitExceeded(f"max_word_len must lie in [0, {MAX_WORD_LEN}]")
+        if self.num_cases < 0:
+            raise ValidationError(f"num_cases (--cases) must be nonnegative, got {self.num_cases}")
+        if self.max_states < 1:
+            raise ValidationError(f"max_states (--max-states) must be at least 1, got {self.max_states}")
 
     def rng(self) -> random.Random:
         return random.Random(self.random_seed)

@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperc.behavioral import (
     AgContract,
@@ -32,9 +34,11 @@ from hyperc.behavioral import (
     general_contract_meet,
     general_contract_mirror,
     is_saturated,
+    normalize_masks,
+    quotient_masks,
     strong_merge_general,
 )
-from hyperc.errors import UniverseTooLarge
+from hyperc.errors import LimitExceeded, UniverseTooLarge
 
 U4 = Universe(("0", "1", "2", "3"))
 U3 = Universe(("x", "y", "z"))
@@ -107,6 +111,18 @@ class TestConicRepresentation:
 
     def test_normalize_empty(self):
         assert ConicCompset.from_components(U4, []).maximals == ()
+
+    @pytest.mark.parametrize("masks", [[0b10000], [0b0011, 0b10011], [-1], [0b0001, -2]])
+    def test_components_outside_universe_rejected(self, masks):
+        with pytest.raises(ValueError, match="leaves its universe"):
+            ConicCompset.from_components(U4, masks)
+
+    def test_public_constructor_checks(self):
+        with pytest.raises(ValueError, match="leaves its universe"):
+            ConicCompset(U4, (0b10000,))
+        for maximals in ((0b0011, 0b0001), (0b0010, 0b0001), (0b0001, 0b0001)):
+            with pytest.raises(ValueError, match="sorted antichain"):
+                ConicCompset(U4, maximals)
 
     def test_denotation_matches_downward_closure(self):
         rng = random.Random(2)
@@ -184,6 +200,102 @@ class TestConicOps:
             assert h.meet(h2).to_general().members == hg.meet(hg2).members
             assert h.join(h2).to_general().members == hg.join(hg2).members
             assert h.quotient(h2).to_general().members == hg.quotient(hg2).members
+
+
+def reference_normalize(masks) -> tuple[int, ...]:
+    """The pairwise filter: keep each mask no other distinct mask contains."""
+    uniq = sorted(set(masks))
+    return tuple(m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq))
+
+
+def reference_quotient(ms, ms2, full: int) -> tuple[int, ...]:
+    """One meet  ⋀_{M'∈ms2} M(M')/M'  per choice function M(·): ms2 → ms."""
+    if not ms2:
+        return (full,)
+    out = []
+    for choice in itertools.product(ms, repeat=len(ms2)):
+        acc = full
+        for picked, m2 in zip(choice, ms2):
+            acc &= (full & ~m2) | picked
+        out.append(acc)
+    return reference_normalize(out)
+
+
+@st.composite
+def raw_masks(draw, bits: int, max_tops: int = 5) -> tuple[int, ...]:
+    """Up to max_tops masks over `bits` behaviors, some of them dominated by
+    or equal to another one in the list."""
+    mask = st.integers(0, (1 << bits) - 1)
+    out = draw(st.lists(mask, max_size=max_tops))
+    for k in range(len(out)):
+        kind = draw(st.sampled_from(("keep", "sub", "dup")))
+        if k and kind == "sub":
+            out[k] = out[draw(st.integers(0, k - 1))] & draw(mask)
+        elif k and kind == "dup":
+            out[k] = out[draw(st.integers(0, k - 1))]
+    return tuple(out)
+
+
+@st.composite
+def quotient_operands(draw):
+    bits = draw(st.integers(1, 64))
+    return bits, draw(raw_masks(bits)), draw(raw_masks(bits))
+
+
+class TestConicKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(quotient_operands())
+    def test_normalize_matches_pairwise_filter(self, operands):
+        _, ms, ms2 = operands
+        assert normalize_masks(ms) == reference_normalize(ms)
+        assert normalize_masks(ms + ms2) == reference_normalize(ms + ms2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quotient_operands())
+    def test_quotient_matches_choice_enumeration(self, operands):
+        bits, ms, ms2 = operands
+        full = (1 << bits) - 1
+        assert quotient_masks(ms, ms2, full) == reference_quotient(ms, ms2, full)
+        ns, ns2 = normalize_masks(ms), normalize_masks(ms2)
+        assert quotient_masks(ns, ns2, full) == reference_quotient(ns, ns2, full)
+
+    def test_quotient_beyond_choice_count(self):
+        # 8**7 choice functions, more than the cap, but every fold step stays
+        # below it because a 12-behavior antichain has at most 924 masks.
+        u = Universe(tuple(f"b{k}" for k in range(12)))
+        rng = random.Random(8)
+
+        def compset(k: int) -> ConicCompset:
+            h = ConicCompset.empty(u)
+            while h.k < k:
+                h = h.join(ConicCompset(u, (rng.getrandbits(12),)))
+            return h
+
+        h, h2 = compset(8), compset(7)
+        assert len(h.maximals) ** len(h2.maximals) > 1_000_000
+        q = h.quotient(h2)
+        assert ConicCompset(u, q.maximals) == q
+        for m in range(u.full_mask + 1):
+            assert q.contains(m) == all(h.contains(m & b) for b in h2.maximals)
+        for _ in range(40):
+            x = compset(rng.randint(1, 4))
+            assert x.compose(h2).leq(h) == x.leq(q)
+
+    def test_step_over_cap_raises(self):
+        # 1001 dividend maximals of popcount 30 on bits 0-59; the first
+        # divisor maximal keeps them all apart, so the second step would
+        # build 1001 × 1001 candidates.
+        rng = random.Random(9)
+        ms = set()
+        while len(ms) < 1001:
+            ms.add(sum(1 << b for b in rng.sample(range(60), 30)))
+        ms = tuple(sorted(ms))
+        low = (1 << 60) - 1
+        ms2 = (low | 1 << 60, low | 1 << 61)
+        message = r"step 2 of 2 would build 1001 partial maximals × 1001 dividend maximals = 1002001 candidates"
+        with pytest.raises(LimitExceeded, match=message):
+            quotient_masks(ms, ms2, (1 << 64) - 1)
+        assert len(quotient_masks(ms, ms2[:1], (1 << 64) - 1)) == 1001
 
 
 class TestContracts:

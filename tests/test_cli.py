@@ -291,6 +291,21 @@ class TestErrors:
         code, _, err = run(capsys, "beh", "normalize", str(doc), "x")
         assert code == 2 and f"'{section}' must be a JSON object" in err
 
+    def test_negative_max_len(self, capsys):
+        code, out, err = run(capsys, "lang", "enumerate", fx("istar.json"), "--max-len", "-1")
+        assert (code, out, err) == (2, "", "error: --max-len must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("all", "--cases", "-1"), "num_cases (--cases) must be nonnegative, got -1"),
+            (("unc", "--cases", "2", "--max-states", "0"), "max_states (--max-states) must be at least 1, got 0"),
+        ],
+    )
+    def test_oracle_numeric_flags(self, capsys, flags, message):
+        code, out, err = run(capsys, "oracle", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("raw", ["abc", "-5"])
     def test_malformed_state_cap(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("HYPERC_MAX_STATES", raw)

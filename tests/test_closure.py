@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import random
 
-from hyperc import automata, contracts, receptive
+from hyperc import automata, behavioral, contracts, receptive
+from hyperc.behavioral import (
+    AgContract,
+    BehavioralHypercontract,
+    Component,
+    ConicCompset,
+    GeneralCompset,
+    Universe,
+)
 from hyperc.contracts import Incompatible, InterfaceHypercontract
 from hyperc.lang import (
     IoSignature,
@@ -30,6 +38,7 @@ from hyperc.oracle import (
     _compatible_signatures,
     _quotient_operands,
     random_alphabet,
+    random_conic,
     random_dfa,
     random_ia,
     random_prefix_closed,
@@ -51,6 +60,11 @@ def check_language(lang: RegularLanguage) -> None:
     assert type(lang.delta) is tuple and all(type(row) is tuple for row in lang.delta)
     again = RegularLanguage(lang.alphabet, lang.initial, lang.accepting, lang.delta)
     assert again.delta == lang.delta and again.accepting == lang.accepting
+
+
+def check_conic(h: ConicCompset) -> None:
+    assert type(h.maximals) is tuple
+    assert ConicCompset(h.universe, h.maximals) == h
 
 
 def check_receptive(r: ReceptiveLanguage) -> None:
@@ -149,3 +163,41 @@ def test_contract_results():
                 check_contract(result)
                 checked += 1
     assert checked > 2 * CASES
+
+
+def test_conic_results():
+    rng = random.Random(14)
+    universes = [Universe(tuple(f"b{k}" for k in range(n))) for n in (1, 3, 4, 8, 16, 64)]
+    contract_ops = (
+        behavioral.contract_compose,
+        behavioral.contract_quotient,
+        behavioral.contract_meet,
+        behavioral.contract_join,
+    )
+    for _ in range(CASES):
+        u = rng.choice(universes)
+        h, h2 = random_conic(rng, u, 4), random_conic(rng, u, 4)
+        c = BehavioralHypercontract(random_conic(rng, u), random_conic(rng, u))
+        c2 = BehavioralHypercontract(random_conic(rng, u), random_conic(rng, u))
+        ag = AgContract(Component(u, rng.getrandbits(u.size)), Component(u, rng.getrandbits(u.size)))
+        bridged = behavioral.ag_to_contract(ag)
+        results = [
+            h,
+            h.compose(h2),
+            h.meet(h2),
+            h.join(h2),
+            h.quotient(h2),
+            ConicCompset.from_components(u, [rng.getrandbits(u.size) for _ in range(rng.randint(0, 6))]),
+            ConicCompset.empty(u),
+            ConicCompset.full(u),
+            bridged.env,
+            bridged.impl,
+        ]
+        if u.size <= behavioral.GENERAL_MODE_MAX:
+            members = frozenset(rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6)))
+            results.append(GeneralCompset(u, members).maximals())
+        for op in contract_ops:
+            result = op(c, c2)
+            results += [result.env, result.impl]
+        for result in results:
+            check_conic(result)
