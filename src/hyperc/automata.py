@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract, from_s
 from .errors import LimitExceeded, SignatureMismatch, ValidationError
-from .lang import IoSignature, RegularLanguage, _explore, state_cap
+from .lang import IoSignature, RegularLanguage, _explore, close_backward, state_cap
 
 
 @dataclass(frozen=True)
@@ -60,36 +60,22 @@ def make(
     names = list(state_names)
     if initial not in names:
         raise ValidationError(f"unknown initial state {initial!r}")
-    pos = {s: k for k, s in enumerate(names)}
-    if len(pos) != len(names):
+    rows: dict[str, list[str | None]] = {s: [None] * len(io.alphabet) for s in names}
+    if len(rows) != len(names):
         raise ValidationError("state names must be distinct")
-    nsym = len(io.alphabet)
     if isinstance(transitions, Mapping):
         triples = [(src, sym, dst) for (src, sym), dst in transitions.items()]
     else:
         triples = list(transitions)
-    rows: dict[str, list[str | None]] = {s: [None] * nsym for s in names}
     for src, sym, dst in triples:
-        if src not in pos or dst not in pos:
+        if src not in rows or dst not in rows:
             raise ValidationError(f"unknown state in transition {(src, sym, dst)!r}")
         k = io.alphabet.index(sym)
         if rows[src][k] is not None:
             raise ValidationError(f"nondeterministic transitions from {src!r} on {sym!r}")
         rows[src][k] = dst
-    order = [initial]
-    seen = {initial}
-    for s in order:
-        for k in range(nsym):
-            t = rows[s][k]
-            if t is not None and t not in seen:
-                seen.add(t)
-                order.append(t)
-    idx = {s: k for k, s in enumerate(order)}
-    trans = tuple(
-        tuple(None if rows[s][k] is None else idx[rows[s][k]] for k in range(nsym))
-        for s in order
-    )
-    return InterfaceAutomaton(io, tuple(order), 0, trans)
+    order, trans = _explore(initial, rows.__getitem__, "interface-automaton ingestion", (len(names),))
+    return InterfaceAutomaton(io, tuple(order), 0, tuple(trans))
 
 
 def language(a: InterfaceAutomaton) -> RegularLanguage:
@@ -161,58 +147,40 @@ def compose_detailed(
     enabled output the other does not accept; invalid states are closed
     backwards over output-labeled product transitions and removed.
     """
-    if a1.io.alphabet != a2.io.alphabet:
-        raise SignatureMismatch("operands use different alphabets")
-    alphabet = a1.io.alphabet
-    if a1.io.inputs | a2.io.inputs != frozenset(alphabet.symbols):
-        shared = a1.io.outputs & a2.io.outputs
-        raise SignatureMismatch(f"shared outputs: {sorted(shared)}")
+    io = a1.io.compose(a2.io)
+    alphabet = io.alphabet
     o1 = {alphabet.index(s) for s in a1.io.outputs}
     o2 = {alphabet.index(s) for s in a2.io.outputs}
-    out_idx = o1 | o2
     # Reachable product; a symbol is enabled where both sides enable it.
     t1s, t2s = a1.trans, a2.trans
+    label = ("interface-automaton composition", (a1.n_states, a2.n_states))
     pairs, rows = _explore(
         (a1.initial, a2.initial),
         lambda pair: [
             None if t1 is None or t2 is None else (t1, t2)
             for t1, t2 in zip(t1s[pair[0]], t2s[pair[1]])
         ],
+        *label,
     )
 
     def pair_name(i: int) -> str:
         q1, q2 = pairs[i]
         return f"({a1.state_names[q1]},{a2.state_names[q2]})"
 
-    # Invalid: an enabled output on one side that the other side rejects.
-    invalid: set[int] = set()
-    for i, (q1, q2) in enumerate(pairs):
-        bad = any(a1.trans[q1][k] is not None and a2.trans[q2][k] is None for k in o1)
-        bad = bad or any(a2.trans[q2][k] is not None and a1.trans[q1][k] is None for k in o2)
-        if bad:
-            invalid.add(i)
-    # Close backwards over output-labeled product transitions.
-    rev: list[list[int]] = [[] for _ in pairs]
-    for i, row in enumerate(rows):
-        for k in out_idx:
-            t = row[k]
-            if t is not None:
-                rev[t].append(i)
-    stack = list(invalid)
-    while stack:
-        j = stack.pop()
-        for i in rev[j]:
-            if i not in invalid:
-                invalid.add(i)
-                stack.append(i)
+    # Invalid: an enabled output on one side that the other side rejects,
+    # closed backwards over output-labeled product transitions.
+    seeds = [
+        i
+        for i, (q1, q2) in enumerate(pairs)
+        if any(t1s[q1][k] is not None and t2s[q2][k] is None for k in o1)
+        or any(t2s[q2][k] is not None and t1s[q1][k] is None for k in o2)
+    ]
+    invalid = close_backward(rows, seeds, o1 | o2)
     pruned = tuple(pair_name(i) for i in sorted(invalid))
     if 0 in invalid:
         return Incompatible(), pruned
     # Remove invalid states and the transitions touching them, then re-trim.
-    order, trans = _explore(
-        0, lambda i: [None if t is None or t in invalid else t for t in rows[i]]
-    )
-    io = IoSignature(alphabet, a1.io.inputs & a2.io.inputs)
+    order, trans = _explore(0, lambda i: [None if t is None or t in invalid else t for t in rows[i]], *label)
     names = tuple(pair_name(i) for i in order)
     return InterfaceAutomaton(io, names, 0, tuple(trans)), pruned
 

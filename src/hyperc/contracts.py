@@ -4,7 +4,9 @@ A contract is determined by a prefix-closed closed-system language S and an
 io signature.  The maximal environment E_S = S ∪ MissExt(S, S, O) and the
 maximal implementation M_S = S ∪ MissExt(S, S, I) are derived at
 construction; refinement, composition, mirror and quotient all reduce to
-language algebra on these three languages.
+language algebra on these three languages.  E_S, M_S and the composite
+closed system R are each one pass over one product (`S×S` or `S×S'`),
+built by the marked-product helper of `receptive`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .lang import (
     star_of,
     word_str,
 )
-from .receptive import miss_ext, unc
+from .receptive import _marked_product
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,8 @@ class InterfaceHypercontract:
 
     def _derive(self) -> None:
         s = self.s
-        object.__setattr__(self, "_e", s.union(miss_ext(s, s, self.io.outputs)))
-        object.__setattr__(self, "_m", s.union(miss_ext(s, s, self.io.inputs)))
+        object.__setattr__(self, "_e", _marked_product(s, s, "E_S", lambda q, r: q, miss=self.io.outputs))
+        object.__setattr__(self, "_m", _marked_product(s, s, "M_S", lambda q, r: q, miss=self.io.inputs))
 
     @property
     def e(self) -> RegularLanguage:
@@ -85,25 +87,22 @@ def from_s(s: RegularLanguage, io: IoSignature) -> InterfaceHypercontract:
 
 def is_environment(c: InterfaceHypercontract, lang: RegularLanguage) -> bool:
     """O-receptive, prefix-closed, and O* ⊆ E ⊆ E_S."""
-    if lang.alphabet != c.io.alphabet:
-        return False
-    return (
-        is_prefix_closed(lang)
-        and is_receptive(lang, c.io.outputs)
-        and is_subset(star_of(c.io.alphabet, c.io.outputs), lang)
-        and is_subset(lang, c.e)
-    )
+    return _admissible(lang, c.io.outputs, c.e)
 
 
 def is_implementation(c: InterfaceHypercontract, lang: RegularLanguage) -> bool:
     """I-receptive, prefix-closed, and I* ⊆ M ⊆ M_S."""
-    if lang.alphabet != c.io.alphabet:
+    return _admissible(lang, c.io.inputs, c.m)
+
+
+def _admissible(lang: RegularLanguage, receptive_to: frozenset[str], bound: RegularLanguage) -> bool:
+    if lang.alphabet != bound.alphabet:
         return False
     return (
         is_prefix_closed(lang)
-        and is_receptive(lang, c.io.inputs)
-        and is_subset(star_of(c.io.alphabet, c.io.inputs), lang)
-        and is_subset(lang, c.m)
+        and is_receptive(lang, receptive_to)
+        and is_subset(star_of(lang.alphabet, receptive_to), lang)
+        and is_subset(lang, bound)
     )
 
 
@@ -121,27 +120,20 @@ def compose(
     """Parallel composition.
 
     The composite closed system is
-    R = (S ∩ S') \\ [Unc(S', S, O, O') ∪ Unc(S, S', O', O)];
-    an empty R cannot carry a contract (ε ∉ R) and is reported as
-    Incompatible.
+    R = (S ∩ S') \\ [Unc(S', S, O, O') ∪ Unc(S, S', O', O)].  Both Unc terms
+    mark pairs of the one product S×S' and close backwards over O ∪ O', so R
+    is one marked product whose marked pairs go to a rejecting sink.  S and
+    S' hold ε, so R is empty, and reported as Incompatible, exactly when
+    ε ∉ R.
     """
-    if c1.io.alphabet != c2.io.alphabet:
-        raise SignatureMismatch("operands use different alphabets")
-    shared = c1.io.outputs & c2.io.outputs
-    if shared:
-        raise SignatureMismatch(f"shared outputs: {sorted(shared)}")
+    io = c1.io.compose(c2.io)
     o1, o2 = c1.io.outputs, c2.io.outputs
-    # Each Unc term is extended by Σ*, so it holds ε only when it is all of
-    # Σ*; S and S' both hold ε.  Hence R is empty exactly when one of the
-    # terms holds ε, and otherwise ε ∈ R.
-    unc1 = unc(c2.s, c1.s, o1, o2)
-    if unc1.accepts(()):
+    r = _marked_product(
+        c1.s, c2.s, "contract composition", lambda q, r: q and r, escape=o2, escape2=o1, follow=o1 | o2
+    )
+    if not r.accepts(()):
         return Incompatible()
-    unc2 = unc(c1.s, c2.s, o2, o1)
-    if unc2.accepts(()):
-        return Incompatible()
-    r = c1.s.intersect(c2.s).difference(unc1.union(unc2))
-    return InterfaceHypercontract._trusted(r, IoSignature(c1.io.alphabet, c1.io.inputs & c2.io.inputs))
+    return InterfaceHypercontract._trusted(r, io)
 
 
 def mirror(c: InterfaceHypercontract) -> InterfaceHypercontract:

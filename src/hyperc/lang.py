@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .errors import AlphabetMismatch, HypercError, LimitExceeded
+from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch
 
 Word = tuple[str, ...]
 
 #: Hard bound on enumeration length (see enumerate_words).
 MAX_ENUM_LEN = 8
+
+#: Hard bound on the number of words one enumeration may list.
+MAX_ENUM_WORDS = 1_000_000
 
 #: Default cap on intermediate automaton sizes; override with HYPERC_MAX_STATES.
 DEFAULT_MAX_STATES = 10_000
@@ -107,6 +110,15 @@ class IoSignature:
     def swapped(self) -> "IoSignature":
         return IoSignature(self.alphabet, self.outputs)
 
+    def compose(self, other: "IoSignature") -> "IoSignature":
+        """Signature (I∩I', O∪O') of a parallel composition; outputs must be disjoint."""
+        if self.alphabet != other.alphabet:
+            raise SignatureMismatch("operands use different alphabets")
+        shared = self.outputs & other.outputs
+        if shared:
+            raise SignatureMismatch(f"shared outputs: {sorted(shared)}")
+        return IoSignature(self.alphabet, self.inputs & other.inputs)
+
     def __str__(self) -> str:
         ins = ",".join(s for s in self.alphabet.symbols if s in self.inputs)
         outs = ",".join(s for s in self.alphabet.symbols if s not in self.inputs)
@@ -176,20 +188,7 @@ class RegularLanguage:
 
     def shortest_member(self) -> Word | None:
         """Shortest accepted word (lexicographically least among ties)."""
-        seen = {self.initial}
-        frontier: list[tuple[int, Word]] = [(self.initial, ())]
-        while frontier:
-            nxt: list[tuple[int, Word]] = []
-            for q, w in frontier:
-                if q in self.accepting:
-                    return w
-                for k, s in enumerate(self.alphabet.symbols):
-                    t = self.delta[q][k]
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append((t, w + (s,)))
-            frontier = nxt
-        return None
+        return counterexample(self, empty_language(self.alphabet))
 
     # -- canonical form and equality ---------------------------------------
 
@@ -228,13 +227,13 @@ class RegularLanguage:
         return RegularLanguage._trusted(self.alphabet, self.initial, flipped, self.delta).canonical()
 
     def union(self, other: "RegularLanguage") -> "RegularLanguage":
-        return _binary(self, other, lambda a, b: a or b)
+        return _binary(self, other, lambda a, b: a or b, "union")
 
     def intersect(self, other: "RegularLanguage") -> "RegularLanguage":
-        return _binary(self, other, lambda a, b: a and b)
+        return _binary(self, other, lambda a, b: a and b, "intersection")
 
     def difference(self, other: "RegularLanguage") -> "RegularLanguage":
-        return _binary(self, other, lambda a, b: a and not b)
+        return _binary(self, other, lambda a, b: a and not b, "difference")
 
 
 def boolean_op(kind: str, lang: RegularLanguage, other: RegularLanguage | None = None) -> RegularLanguage:
@@ -364,14 +363,14 @@ def check_same_alphabet(a: RegularLanguage, b: RegularLanguage) -> None:
         raise AlphabetMismatch("alphabet mismatch")
 
 
-def _explore(start, successors: Callable) -> tuple[list, list[tuple]]:
+def _explore(start, successors: Callable, op: str, sizes: tuple[int, ...]) -> tuple[list, list[tuple]]:
     """Breadth-first exploration of the states reachable from `start`.
 
     `successors(state)` gives a state's successor keys in symbol order, None
     for a missing transition.  States are numbered in discovery order, so
     `start` is 0; rows[i] lists the numbers of states[i]'s successors, with
-    None passed through.  Raises LimitExceeded when the states reached would
-    exceed `state_cap()`.
+    None passed through.  Raises LimitExceeded, naming the operation `op` and
+    its operand sizes, when the states reached would exceed `state_cap()`.
     """
     cap = state_cap()
     states = [start]
@@ -387,7 +386,7 @@ def _explore(start, successors: Callable) -> tuple[list, list[tuple]]:
             if j is None:
                 j = len(states)
                 if j >= cap:
-                    raise LimitExceeded(f"product exceeds state cap {cap} ({_ENV_MAX_STATES})")
+                    raise _cap_exceeded(cap, op, sizes)
                 index[t] = j
                 states.append(t)
             row.append(j)
@@ -395,15 +394,21 @@ def _explore(start, successors: Callable) -> tuple[list, list[tuple]]:
     return states, rows
 
 
-def product_map(a: RegularLanguage, b: RegularLanguage) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """Reachable product automaton; pair 0 is the joint initial state."""
+def _cap_exceeded(cap: int, op: str, sizes: tuple[int, ...]) -> LimitExceeded:
+    shape = "×".join(map(str, sizes))
+    return LimitExceeded(f"product exceeds state cap {cap} ({_ENV_MAX_STATES}) in {op} of {shape} states")
+
+
+def product_map(a: RegularLanguage, b: RegularLanguage, op: str = "product") -> tuple[list[tuple], list[tuple]]:
+    """Reachable product automaton; pair 0 is the joint initial state.  `op`
+    names the operation in a state-cap error."""
     check_same_alphabet(a, b)
     da, db = a.delta, b.delta
-    return _explore((a.initial, b.initial), lambda pair: zip(da[pair[0]], db[pair[1]]))
+    return _explore((a.initial, b.initial), lambda p: zip(da[p[0]], db[p[1]]), op, (a.n_states, b.n_states))
 
 
-def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable[[bool, bool], bool]) -> RegularLanguage:
-    pairs, rows = product_map(a, b)
+def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable, op: str) -> RegularLanguage:
+    pairs, rows = product_map(a, b, op)
     accepting = frozenset(
         i for i, (q, r) in enumerate(pairs) if keep(q in a.accepting, r in b.accepting)
     )
@@ -423,6 +428,7 @@ def concat_symbol_class(lang: RegularLanguage, symbols: Iterable[str]) -> Regula
     pairs, rows = _explore(
         (lang.initial, False),
         lambda pair: zip(delta[pair[0]], in_class if pair[0] in accepting else no_class),
+        "symbol-class concatenation", (lang.n_states,),
     )
     flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
     return RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)).canonical()
@@ -435,45 +441,56 @@ def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
     pairs, rows = _explore(
         (lang.initial, lang.initial in accepting),
         lambda pair: [(t, pair[1] or t in accepting) for t in delta[pair[0]]],
+        "Σ* concatenation", (lang.n_states,),
     )
     flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
     return RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)).canonical()
 
 
+def close_backward(rows: Sequence[Sequence], seeds: Iterable[int], labels: Iterable[int]) -> set[int]:
+    """The states that reach a seed along edges whose symbol index is in
+    `labels`; rows[i][k] is state i's successor on symbol k, or None for a
+    missing transition (interface-automaton rows)."""
+    labels = tuple(labels)
+    rev: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for k in labels:
+            t = row[k]
+            if t is not None:
+                rev[t].append(i)
+    closed = set(seeds)
+    stack = list(closed)
+    while stack:
+        for i in rev[stack.pop()]:
+            if i not in closed:
+                closed.add(i)
+                stack.append(i)
+    return closed
+
+
 def prefix_closure(lang: RegularLanguage) -> RegularLanguage:
     """Pre(L): every prefix of every member of L."""
-    nsym = len(lang.alphabet)
-    n = lang.n_states
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for q in range(n):
-        for k in range(nsym):
-            rev[lang.delta[q][k]].append(q)
-    live = set(lang.accepting)
-    stack = list(live)
-    while stack:
-        t = stack.pop()
-        for q in rev[t]:
-            if q not in live:
-                live.add(q)
-                stack.append(q)
+    live = close_backward(lang.delta, lang.accepting, range(len(lang.alphabet)))
     return RegularLanguage._trusted(lang.alphabet, lang.initial, frozenset(live), lang.delta).canonical()
 
 
 # -- decision procedures -------------------------------------------------------
 
 
-def counterexample(a: RegularLanguage, b: RegularLanguage) -> Word | None:
-    """Shortest (then lexicographically least) word of a \\ b, or None if a ⊆ b.
+def counterexample(a: RegularLanguage, b: RegularLanguage, over: Iterable[str] | None = None) -> Word | None:
+    """Shortest (then lexicographically least) word of a \\ b, or None if a ⊆ b;
+    with `over`, the same for the words over that symbol subset only.
 
     Breadth-first search over the reachable product pairs in symbol order,
     stopping at the first pair that accepts in a and rejects in b (early-exit
     inclusion, as in Bonchi & Pous, POPL 2013).  Only parent pointers are
-    kept; the word is read back along them.  The result equals
-    `a.difference(b).shortest_member()`.
+    kept; the word is read back along them.  With b empty this is
+    `a.shortest_member()`.
     """
     check_same_alphabet(a, b)
     cap = state_cap()
     symbols = a.alphabet.symbols
+    allowed = range(len(symbols)) if over is None else {a.alphabet.index(s) for s in over}
     start = (a.initial, b.initial)
     parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = [start]
@@ -488,9 +505,9 @@ def counterexample(a: RegularLanguage, b: RegularLanguage) -> Word | None:
                 step = parent[pair]
             return tuple(reversed(word))
         for k, t in enumerate(zip(a.delta[q], b.delta[r])):
-            if t not in parent:
+            if t not in parent and k in allowed:
                 if len(queue) >= cap:
-                    raise LimitExceeded(f"product exceeds state cap {cap} ({_ENV_MAX_STATES})")
+                    raise _cap_exceeded(cap, "inclusion check", (a.n_states, b.n_states))
                 parent[t] = (pair, k)
                 queue.append(t)
     return None
@@ -511,33 +528,37 @@ def is_receptive(lang: RegularLanguage, inputs: Iterable[str]) -> bool:
 
 
 def enumerate_words(lang: RegularLanguage, max_len: int, limit: int = MAX_ENUM_LEN) -> list[Word]:
-    """Members of L up to max_len, in length-then-lexicographic order."""
+    """Members of L up to max_len, in length-then-lexicographic order; more
+    than MAX_ENUM_WORDS members raise LimitExceeded before any is listed."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if max_len > limit:
         raise LimitExceeded(f"enumeration length {max_len} exceeds limit {limit}")
     symbols = lang.alphabet.symbols
     delta = lang.delta
-    # live[r]: the states from which some word of length exactly r is
-    # accepted.  Branches into other states are skipped, so every branch
-    # walked ends in an output word and the walk costs O(output · k · max_len)
-    # instead of O(k^max_len).
-    live = [lang.accepting]
+    # count[r][q]: the number of words of length exactly r accepted from q.
+    # The walk enters a state only if it accepts some word of the remaining
+    # length, so every branch walked ends in an output word and the walk
+    # costs O(output · k · max_len) instead of O(k^max_len).
+    count = [[1 if q in lang.accepting else 0 for q in range(len(delta))]]
     for _ in range(max_len):
-        prev = live[-1]
-        live.append(frozenset(q for q, row in enumerate(delta) if any(t in prev for t in row)))
+        prev = count[-1]
+        count.append([sum(prev[t] for t in row) for row in delta])
+    total = sum(c[lang.initial] for c in count)
+    if total > MAX_ENUM_WORDS:
+        raise LimitExceeded(f"enumeration of {total} words exceeds limit {MAX_ENUM_WORDS}")
     out: list[Word] = []
 
     def walk(q: int, word: tuple[str, ...], remaining: int) -> None:
         if remaining == 0:
             out.append(word)
             return
-        ahead = live[remaining - 1]
+        ahead = count[remaining - 1]
         for k, t in enumerate(delta[q]):
-            if t in ahead:
+            if ahead[t]:
                 walk(t, word + (symbols[k],), remaining - 1)
 
     for length in range(max_len + 1):
-        if lang.initial in live[length]:
+        if count[length][lang.initial]:
             walk(lang.initial, (), length)
     return out

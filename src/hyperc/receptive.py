@@ -5,20 +5,21 @@ A language is I-receptive when it is prefix-closed and closed under
 extension by input words.  Within one signature the receptive languages
 form a Heyting algebra (meet/join/exponential); across signatures they
 compose by intersection and divide by the residual of composition.
+MissExt, Unc and every closed form built from them (the exponential, the
+quotient, and E_S, M_S and R in `contracts`) are one pass over one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import QuotientUndefined, SignatureMismatch, ValidationError
 from .lang import (
     Alphabet,
     IoSignature,
     RegularLanguage,
-    check_same_alphabet,
-    concat_sigma_star,
+    close_backward,
     concat_symbol_class,
     counterexample,
     is_subset,
@@ -96,14 +97,53 @@ def leq(a: ReceptiveLanguage, b: ReceptiveLanguage) -> bool:
     return is_subset(a.lang, b.lang)
 
 
-# -- the two workhorse operators ---------------------------------------------
+# -- the one-pass closed forms -------------------------------------------------
+
+
+def _marked_product(
+    lang: RegularLanguage, lang2: RegularLanguage, op: str, accept: Callable[[bool, bool], bool], *,
+    miss: Iterable[str] = (), escape: Iterable[str] = (), escape2: Iterable[str] = (),
+    follow: Iterable[str] = (), marked_accepts: bool = False,
+) -> RegularLanguage:
+    """One product L×L′ plus ⊤ (accepting, loops on Σ) and ⊥ (rejecting sink).
+
+    A pair is marked when it lies in L∩L′ and reaches, over `follow` edges
+    through any pairs, an L∩L′ pair with an `escape` edge into L′\\L or an
+    `escape2` edge into L\\L′.  Edges into marked pairs (and a marked initial
+    pair) go to ⊤ if `marked_accepts` else to ⊥, the other `miss` edges from
+    an L∩L′ pair into a pair outside L′ go to ⊤, and every other pair (q, r)
+    accepts by `accept(q ∈ L, r ∈ L′)`.  `op` names the operation.
+    """
+    alphabet = lang.alphabet
+    pairs, rows = product_map(lang, lang2, op)
+    n, nsym = len(pairs), len(alphabet)
+    kind = [(q in lang.accepting, r in lang2.accepting) for q, r in pairs]
+    both = [k == (True, True) for k in kind]
+    escapes = [(alphabet.index(s), (False, True)) for s in escape]
+    escapes += [(alphabet.index(s), (True, False)) for s in escape2]
+    seeds = [i for i, row in enumerate(rows) if both[i] and any(kind[row[k]] == to for k, to in escapes)]
+    marked = {i for i in close_backward(rows, seeds, map(alphabet.index, follow)) if both[i]}
+    miss_idx = {alphabet.index(s) for s in miss}
+    top, bottom = n, n + 1
+    sink = top if marked_accepts else bottom
+    delta = tuple(
+        tuple(
+            sink if t in marked else top if both[i] and k in miss_idx and not kind[t][1] else t
+            for k, t in enumerate(row)
+        )
+        for i, row in enumerate(rows)
+    ) + ((top,) * nsym, (bottom,) * nsym)
+    accepting = frozenset(i for i in range(n) if accept(*kind[i])) | {top}
+    initial = sink if 0 in marked else 0
+    return RegularLanguage._trusted(alphabet, initial, accepting, delta).canonical()
 
 
 def miss_ext(lang: RegularLanguage, lang2: RegularLanguage, gamma: Iterable[str]) -> RegularLanguage:
-    """Missing Γ-extensions of L' with respect to L: (((L ∩ L') ∘ Γ) \\ L') ∘ Σ*."""
-    check_same_alphabet(lang, lang2)
-    stepped = concat_symbol_class(lang.intersect(lang2), gamma)
-    return concat_sigma_star(stepped.difference(lang2))
+    """Missing Γ-extensions of L' with respect to L: (((L ∩ L') ∘ Γ) \\ L') ∘ Σ*.
+
+    On the product, a Γ-edge from an L ∩ L' pair into a pair outside L' goes
+    to ⊤, the only accepting state."""
+    return _marked_product(lang, lang2, "MissExt", lambda q, r: False, miss=gamma)
 
 
 def unc(
@@ -117,35 +157,13 @@ def unc(
     Words w of L ∩ L' from which some continuation w' ∈ (Γ∪Δ)* followed by a
     symbol of Γ lands in L' \\ L, extended by Σ*.  Computed on the product
     automaton: mark states with a Γ-successor in L' \\ L, close backwards over
-    (Γ∪Δ)-labeled edges, keep the L ∩ L' states, then append Σ*.
+    (Γ∪Δ)-labeled edges, and send the edges into the marked L ∩ L' states to
+    ⊤, the only accepting state.
     """
-    check_same_alphabet(lang, lang2)
-    gset = {lang.alphabet.index(s) for s in lang.alphabet.subset(gamma)}
-    dset = {lang.alphabet.index(s) for s in lang.alphabet.subset(delta)}
-    pairs, rows = product_map(lang, lang2)
-    n = len(pairs)
-    both = [q in lang.accepting and r in lang2.accepting for q, r in pairs]
-    escape = [r in lang2.accepting and q not in lang.accepting for q, r in pairs]
-    marked = {
-        i
-        for i in range(n)
-        if both[i] and any(escape[rows[i][k]] for k in gset)
-    }
-    follow = gset | dset
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for k in follow:
-            rev[rows[i][k]].append(i)
-    stack = list(marked)
-    while stack:
-        j = stack.pop()
-        for i in rev[j]:
-            if i not in marked:
-                marked.add(i)
-                stack.append(i)
-    accepting = frozenset(i for i in marked if both[i])
-    core = RegularLanguage._trusted(lang.alphabet, 0, accepting, tuple(rows))
-    return concat_sigma_star(core)
+    gamma = tuple(gamma)
+    return _marked_product(
+        lang, lang2, "Unc", lambda q, r: False, escape=gamma, follow=gamma + tuple(delta), marked_accepts=True
+    )
 
 
 # -- Heyting structure ---------------------------------------------------------
@@ -155,7 +173,7 @@ def exponential(target: ReceptiveLanguage, other: ReceptiveLanguage) -> Receptiv
     """The exponential L' → L: right adjoint of the meet, in closed form
     L ∪ MissExt(L, L', O)."""
     _require_same_io(target, other)
-    closed = target.lang.union(miss_ext(target.lang, other.lang, target.io.outputs))
+    closed = _marked_product(target.lang, other.lang, "exponential", lambda q, r: q, miss=target.io.outputs)
     return ReceptiveLanguage._trusted(closed, target.io)
 
 
@@ -182,13 +200,7 @@ def exponential_definitional(target: ReceptiveLanguage, other: ReceptiveLanguage
 
 def compose(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
     """Cross-signature composition: intersection re-signed to (I∩I', O∪O')."""
-    if a.alphabet != b.alphabet:
-        raise SignatureMismatch("operands use different alphabets")
-    if a.io.outputs & b.io.outputs:
-        raise SignatureMismatch(
-            f"shared outputs: {sorted(a.io.outputs & b.io.outputs)}"
-        )
-    io = IoSignature(a.alphabet, a.io.inputs & b.io.inputs)
+    io = a.io.compose(b.io)
     return ReceptiveLanguage._trusted(a.lang.intersect(b.lang), io)
 
 
@@ -210,11 +222,15 @@ def quotient(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
     when L' ∩ I_r* ⊆ L.
     """
     io_r = quotient_signature(a.io, b.io)
-    w = counterexample(b.lang.intersect(star_of(a.alphabet, io_r.inputs)), a.lang)
+    w = counterexample(b.lang, a.lang, over=io_r.inputs)
     if w is not None:
         raise QuotientUndefined(f"quotient undefined: L' ∩ I_r* ⊄ L at witness {word_str(w)}")
-    kept = a.lang.intersect(b.lang).union(miss_ext(a.lang, b.lang, b.io.outputs))
-    result = kept.difference(unc(a.lang, b.lang, b.io.outputs, a.io.inputs))
+    # L' is prefix-closed, so no word past a MissExt edge is back in L ∩ L'
+    # and ⊤ may absorb it.
+    o2 = b.io.outputs
+    result = _marked_product(
+        a.lang, b.lang, "receptive quotient", lambda q, r: q and r, miss=o2, escape=o2, follow=o2 | a.io.inputs
+    )
     return ReceptiveLanguage._trusted(result, io_r)
 
 

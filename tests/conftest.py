@@ -1,4 +1,6 @@
-"""Shared fixtures: the two-symbol i/o world used across the suite."""
+"""Shared fixtures: the two-symbol i/o world used across the suite, and the
+compositional MissExt/Unc chains the one-pass closed forms are checked
+against."""
 
 from __future__ import annotations
 
@@ -11,9 +13,11 @@ from hyperc.lang import (
     IoSignature,
     RegularLanguage,
     Word,
+    check_same_alphabet,
     concat_sigma_star,
     concat_symbol_class,
     from_words,
+    product_map,
     sigma_star,
     star_of,
 )
@@ -60,3 +64,35 @@ def words_of(alphabet: Alphabet, *texts: str) -> list[Word]:
 
 def lang_of(alphabet: Alphabet, *texts: str) -> RegularLanguage:
     return from_words(alphabet, words_of(alphabet, *texts))
+
+
+# -- references: the compositional chains, independent of the marked product ---
+
+
+def reference_miss_ext(lang: RegularLanguage, lang2: RegularLanguage, gamma) -> RegularLanguage:
+    """(((L ∩ L') ∘ Γ) \\ L') ∘ Σ*, one generic operator at a time."""
+    check_same_alphabet(lang, lang2)
+    stepped = concat_symbol_class(lang.intersect(lang2), gamma)
+    return concat_sigma_star(stepped.difference(lang2))
+
+
+def reference_unc(lang: RegularLanguage, lang2: RegularLanguage, gamma, delta) -> RegularLanguage:
+    """Unc on the product: mark the L ∩ L' pairs with a Γ-successor in L' \\ L,
+    close backwards over (Γ∪Δ)-edges by a hand-written search, keep the
+    L ∩ L' pairs, then append Σ*."""
+    check_same_alphabet(lang, lang2)
+    gset = {lang.alphabet.index(s) for s in lang.alphabet.subset(gamma)}
+    follow = gset | {lang.alphabet.index(s) for s in lang.alphabet.subset(delta)}
+    pairs, rows = product_map(lang, lang2)
+    both = [q in lang.accepting and r in lang2.accepting for q, r in pairs]
+    escape = [r in lang2.accepting and q not in lang.accepting for q, r in pairs]
+    marked = {i for i in range(len(pairs)) if both[i] and any(escape[rows[i][k]] for k in gset)}
+    stack = list(marked)
+    while stack:
+        j = stack.pop()
+        for i in range(len(pairs)):
+            if i not in marked and any(rows[i][k] == j for k in follow):
+                marked.add(i)
+                stack.append(i)
+    core = RegularLanguage(lang.alphabet, 0, frozenset(i for i in marked if both[i]), rows)
+    return concat_sigma_star(core)

@@ -12,7 +12,7 @@ from hyperc.automata import compose, compose_detailed, language, make, refines, 
 from hyperc.contracts import Incompatible, from_s
 from hyperc.contracts import compose as contract_compose
 from hyperc.contracts import refines as contract_refines
-from hyperc.errors import SignatureMismatch, ValidationError
+from hyperc.errors import LimitExceeded, SignatureMismatch, ValidationError
 from hyperc.lang import Alphabet, IoSignature, is_subset
 from hyperc.oracle import BoundedCheckConfig, random_ia
 
@@ -48,6 +48,13 @@ class TestConstruction:
     def test_unknown_initial(self, io_i):
         with pytest.raises(ValidationError, match="unknown initial"):
             make(io_i, ["p"], "zz", {})
+
+    def test_state_cap_bounds_ingestion(self, monkeypatch):
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        # Only reachable states count: the stray state is trimmed, not explored.
+        assert make(IO_OUT_A, ["p0", "stray"], "p0", {}).state_names == ("p0",)
+        with pytest.raises(LimitExceeded, match="state cap 1 .* interface-automaton ingestion of 2 states"):
+            make(IO_OUT_A, ["p0", "p1"], "p0", {("p0", "a"): "p1"})
 
 
 class TestLanguage:
@@ -119,6 +126,13 @@ class TestCompose:
         receiver = make(IO_IN_A, ["u"], "u", {("u", "a"): "u"})
         composite = compose(a1, receiver)
         assert to_contract(composite) == from_s(language(a1), IoSignature(AB1, frozenset()))
+
+    def test_state_cap_bounds_product(self, monkeypatch):
+        a1 = make(IO_OUT_A, ["p0", "p1"], "p0", {("p0", "a"): "p1"})
+        a2 = make(IO_IN_A, ["q0"], "q0", {("q0", "a"): "q0"})
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        with pytest.raises(LimitExceeded, match="state cap 1 .* composition of 2×1 states"):
+            compose_detailed(a1, a2)
 
     def test_signature_precondition(self, ab):
         io1 = IoSignature(ab, frozenset({"i"}))

@@ -330,6 +330,26 @@ class TestStateCap:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "state cap 1" in err
 
+    def test_interface_automaton_ingestion_over_cap_exits_2(self, capsys, monkeypatch):
+        # ia_aout has two reachable states.
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        code, out, err = run(capsys, "ia", "language", fx("ia_aout.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: product exceeds state cap 1") and "ingestion of 2 states" in err
+
+    def test_enumeration_over_word_bound_exits_2(self, capsys, tmp_path):
+        # Σ* over 12 symbols has 1 + 12 + … + 12⁶ = 3257437 words up to length 6.
+        path = tmp_path / "sigma12.json"
+        symbols = list("abcdefghijkl")
+        doc = {"alphabet": symbols, "states": ["q"], "initial": "q", "accepting": ["q"],
+               "transitions": [["q", s, "q"] for s in symbols]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "lang", "enumerate", str(path), "--max-len", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration of 3257437 words exceeds limit 1000000\n"
+        code, out, _ = run(capsys, "lang", "enumerate", str(path), "--max-len", "1")
+        assert (code, out.split()) == (0, ["ε", *symbols])
+
     def test_refinement_relation_at_cap(self, capsys, monkeypatch):
         # ia_aout has two states, so the relation has four pairs.
         monkeypatch.setenv("HYPERC_MAX_STATES", "4")

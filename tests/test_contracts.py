@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import lang_of
+from conftest import lang_of, reference_miss_ext, reference_unc
 from hyperc.contracts import (
     Incompatible,
     InterfaceHypercontract,
@@ -19,10 +21,9 @@ from hyperc.contracts import (
     quotient,
     refines,
 )
-from hyperc.errors import SignatureMismatch, ValidationError
+from hyperc.errors import LimitExceeded, SignatureMismatch, ValidationError
 from hyperc.lang import Alphabet, IoSignature, is_subset, sigma_star, star_of
-from hyperc.oracle import BoundedCheckConfig, random_prefix_closed
-from hyperc.receptive import unc
+from hyperc.oracle import BoundedCheckConfig, random_alphabet, random_prefix_closed, random_signature
 
 AB1 = Alphabet(("a",))
 
@@ -69,6 +70,18 @@ class TestFromS:
             c = from_s(s, io_i)
             assert c.s == s.canonical()
             assert c.e.intersect(c.m) == c.s
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_miss_ext_chains(self, seed):
+        # E_S = S ∪ MissExt(S, S, O) and M_S = S ∪ MissExt(S, S, I), built
+        # from generic operators.
+        rng = random.Random(seed)
+        io = random_signature(rng, random_alphabet(rng))
+        s = random_prefix_closed(rng, io.alphabet, 8)
+        c = from_s(s, io)
+        assert c.e == s.union(reference_miss_ext(s, s, io.outputs))
+        assert c.m == s.union(reference_miss_ext(s, s, io.inputs))
 
 
 class TestMembership:
@@ -140,7 +153,7 @@ class TestCompose:
         for _ in range(40):
             c1, c2 = _contract_pair(rng, cfg, Alphabet(("a", "b", "c")))
             o1, o2 = c1.io.outputs, c2.io.outputs
-            removed = unc(c2.s, c1.s, o1, o2).union(unc(c1.s, c2.s, o2, o1))
+            removed = reference_unc(c2.s, c1.s, o1, o2).union(reference_unc(c1.s, c2.s, o2, o1))
             r = c1.s.intersect(c2.s).difference(removed)
             composed = compose(c1, c2)
             outcomes.add(isinstance(composed, Incompatible))
@@ -150,6 +163,28 @@ class TestCompose:
                 assert composed.s == r
                 assert composed.io.inputs == c1.io.inputs & c2.io.inputs
         assert outcomes == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_unc_chain(self, seed):
+        rng = random.Random(seed)
+        c1, c2 = _contract_pair(rng, BoundedCheckConfig(max_states=6), random_alphabet(rng))
+        o1, o2 = c1.io.outputs, c2.io.outputs
+        removed = reference_unc(c2.s, c1.s, o1, o2).union(reference_unc(c1.s, c2.s, o2, o1))
+        r = c1.s.intersect(c2.s).difference(removed)
+        composed = compose(c1, c2)
+        if r.is_empty():
+            assert composed == Incompatible()
+        else:
+            assert composed.s == r and composed.io.inputs == c1.io.inputs & c2.io.inputs
+
+    def test_state_cap_names_the_operation(self, monkeypatch):
+        c1 = from_s(lang_of(AB1, "", "a"), IoSignature(AB1, frozenset()))
+        c2 = from_s(lang_of(AB1, "", "a", "aa"), IoSignature(AB1, frozenset({"a"})))
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        with pytest.raises(LimitExceeded, match=r"^product exceeds state cap 1 \(HYPERC_MAX_STATES\) "
+                           r"in contract composition of 3×4 states$"):
+            compose(c1, c2)
 
     def test_tops_compatible(self, ab, top):
         r = compose(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperc.lang
 from conftest import all_words, lang_of
 from hyperc.errors import AlphabetMismatch, HypercError, LimitExceeded
 from hyperc.lang import (
@@ -17,6 +18,7 @@ from hyperc.lang import (
     RegularLanguage,
     _canonicalize,
     boolean_op,
+    close_backward,
     concat_sigma_star,
     concat_symbol_class,
     counterexample,
@@ -300,6 +302,14 @@ class TestCounterexample:
         if w is not None:
             assert a.accepts(w) and not b.accepts(w)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pair=raw_dfa_pairs(), data=st.data())
+    def test_over_symbol_subset(self, pair, data):
+        # Restricting the search to words over S is a ∩ S* searched in full.
+        a, b = pair
+        over = data.draw(st.sets(st.sampled_from(a.alphabet.symbols)))
+        assert counterexample(a, b, over=over) == counterexample(a.intersect(star_of(a.alphabet, over)), b)
+
     @pytest.mark.parametrize("alphabet", ALPHABETS)
     def test_one_state_and_empty(self, alphabet):
         top, empty = sigma_star(alphabet), empty_language(alphabet)
@@ -358,6 +368,20 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_words(istar, -1)
 
+    def test_word_bound(self, monkeypatch, ab, top):
+        # Σ* over {i, o} has 1 + 2 + 4 = 7 words up to length 2.
+        monkeypatch.setattr(hyperc.lang, "MAX_ENUM_WORDS", 7)
+        assert len(enumerate_words(top, 2)) == 7
+        monkeypatch.setattr(hyperc.lang, "MAX_ENUM_WORDS", 6)
+        with pytest.raises(LimitExceeded, match="^enumeration of 7 words exceeds limit 6$"):
+            enumerate_words(top, 2)
+
+    def test_default_word_bound(self):
+        # 1 + 12 + … + 12⁶ words; refused from the counts, before any walk.
+        sigma12 = sigma_star(Alphabet(tuple("abcdefghijkl")))
+        with pytest.raises(LimitExceeded, match="^enumeration of 3257437 words exceeds limit 1000000$"):
+            enumerate_words(sigma12, 6)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_brute_force(self, data):
@@ -390,6 +414,24 @@ class TestEnumerate:
         assert proc.stdout == f"{word}\n".encode()
 
 
+class TestCloseBackward:
+    def test_partial_rows(self):
+        # 0 -a-> 1 -b-> 2, 3 -a-> 2; None marks a missing transition.
+        rows = [(1, None), (None, 2), (None, None), (2, None)]
+        assert close_backward(rows, [2], [0, 1]) == {0, 1, 2, 3}
+        assert close_backward(rows, [1], [0, 1]) == {0, 1}
+
+    def test_empty_seeds(self):
+        assert close_backward([(0, 1), (1, 0)], [], [0, 1]) == set()
+
+    def test_label_subset(self):
+        # Only a-edges (index 0) count: 1 reaches 2 by b only.
+        rows = [(2, 0), (1, 2), (2, 2)]
+        assert close_backward(rows, [2], [0]) == {0, 2}
+        assert close_backward(rows, [2], [1]) == {1, 2}
+        assert close_backward(rows, [2], []) == {2}
+
+
 class TestHelpers:
     def test_word_str(self):
         assert word_str(()) == "ε"
@@ -402,6 +444,13 @@ class TestHelpers:
     def test_shortest_member(self, ab, iostar):
         assert iostar.shortest_member() == ("o",)
         assert empty_language(ab).shortest_member() is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=dfas(AB3))
+    def test_shortest_member_is_first_accepted_word(self, a):
+        # A member exists iff one of length < 5 (the state bound) does.
+        first = next((w for w in all_words(AB3, 4) if a.accepts(w)), None)
+        assert a.shortest_member() == first
 
     def test_alphabet_validation(self):
         with pytest.raises(AlphabetMismatch):

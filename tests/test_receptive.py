@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_words, lang_of
+from conftest import all_words, lang_of, reference_miss_ext, reference_unc
 from hyperc.errors import QuotientUndefined, SignatureMismatch, ValidationError
 from hyperc.lang import (
     Alphabet,
@@ -19,7 +21,14 @@ from hyperc.lang import (
     sigma_star,
     star_of,
 )
-from hyperc.oracle import BoundedCheckConfig, random_receptive, random_signature
+from hyperc.oracle import (
+    BoundedCheckConfig,
+    _quotient_operands,
+    random_alphabet,
+    random_dfa,
+    random_receptive,
+    random_signature,
+)
 from hyperc.receptive import (
     ReceptiveLanguage,
     bottom,
@@ -320,3 +329,48 @@ class TestQuotientLaws:
             ReceptiveLanguage(q.lang, q.io)
             e = exponential(dividend, dividend)
             ReceptiveLanguage(e.lang, e.io)
+
+
+class TestOnePassMatchesChains:
+    """Each one-pass closed form equals the compositional chain it replaces:
+    the references are built from generic operators only."""
+
+    @staticmethod
+    def _symbols(rng, alphabet):
+        return frozenset(s for s in alphabet.symbols if rng.random() < 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_miss_ext(self, seed):
+        rng = random.Random(seed)
+        alphabet = random_alphabet(rng)
+        a, b = random_dfa(rng, alphabet, 8), random_dfa(rng, alphabet, 8)
+        gamma = self._symbols(rng, alphabet)
+        assert miss_ext(a, b, gamma) == reference_miss_ext(a, b, gamma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unc(self, seed):
+        rng = random.Random(seed)
+        alphabet = random_alphabet(rng)
+        a, b = random_dfa(rng, alphabet, 8), random_dfa(rng, alphabet, 8)
+        gamma, delta = self._symbols(rng, alphabet), self._symbols(rng, alphabet)
+        assert unc(a, b, gamma, delta) == reference_unc(a, b, gamma, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_exponential(self, seed):
+        rng = random.Random(seed)
+        io = random_signature(rng, random_alphabet(rng))
+        target, other = random_receptive(rng, io, 6), random_receptive(rng, io, 6)
+        chain = target.lang.union(reference_miss_ext(target.lang, other.lang, io.outputs))
+        assert exponential(target, other).lang == chain
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_quotient(self, seed):
+        a, b, io_r = _quotient_operands(random.Random(seed), BoundedCheckConfig(max_states=6))
+        kept = a.lang.intersect(b.lang).union(reference_miss_ext(a.lang, b.lang, b.io.outputs))
+        chain = kept.difference(reference_unc(a.lang, b.lang, b.io.outputs, a.io.inputs))
+        result = quotient(a, b)
+        assert result.lang == chain and result.io == io_r
