@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .contracts import Incompatible, InterfaceHypercontract, from_s
+from .contracts import Incompatible, InterfaceHypercontract
 from .errors import LimitExceeded, SignatureMismatch, ValidationError
 from .lang import IoSignature, RegularLanguage, _explore, close_backward, state_cap
 
@@ -92,50 +92,36 @@ def language(a: InterfaceAutomaton) -> RegularLanguage:
 
 
 def to_contract(a: InterfaceAutomaton) -> InterfaceHypercontract:
-    return from_s(language(a), a.io)
+    """The contract (ℓ(A), io); ℓ(A) is prefix-closed and holds ε by construction."""
+    return InterfaceHypercontract._trusted(language(a), a.io)
 
 
 def refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
-    """Greatest alternating simulation: outputs of a1 must be matched by a2,
-    inputs of a2 must be matched by a1; answer is whether the initial states
-    stay related at the fixpoint."""
+    """Alternating simulation: a2 matches a1's outputs and a1 matches a2's inputs.
+    Both are deterministic, so it holds at the initial pair exactly when no locally
+    failing pair is reachable over the obligation edges; the search stops at one."""
     if a1.io != a2.io:
         raise SignatureMismatch("refinement needs identical io signatures")
-    alphabet = a1.io.alphabet
-    out_idx = [alphabet.index(s) for s in alphabet.symbols if s not in a1.io.inputs]
-    in_idx = [alphabet.index(s) for s in alphabet.symbols if s in a1.io.inputs]
     n1, n2 = a1.n_states, a2.n_states
     cap = state_cap()
     if n1 * n2 > cap:
         raise LimitExceeded(
             f"refinement relation of {n1}×{n2} pairs exceeds state cap {cap} (HYPERC_MAX_STATES)"
         )
-    related = {(q1, q2) for q1 in range(n1) for q2 in range(n2)}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(related):
-            q1, q2 = pair
-            ok = True
-            for k in out_idx:
-                t1 = a1.trans[q1][k]
-                if t1 is not None:
-                    t2 = a2.trans[q2][k]
-                    if t2 is None or (t1, t2) not in related:
-                        ok = False
-                        break
-            if ok:
-                for k in in_idx:
-                    t2 = a2.trans[q2][k]
-                    if t2 is not None:
-                        t1 = a1.trans[q1][k]
-                        if t1 is None or (t1, t2) not in related:
-                            ok = False
-                            break
-            if not ok:
-                related.discard(pair)
-                changed = True
-    return (a1.initial, a2.initial) in related
+    is_input = [s in a1.io.inputs for s in a1.io.alphabet.symbols]
+    seen = {(a1.initial, a2.initial)}
+    stack = list(seen)
+    while stack:
+        q1, q2 = stack.pop()
+        for pair, is_in in zip(zip(a1.trans[q1], a2.trans[q2]), is_input):
+            # a1 leads on outputs and a2 on inputs; the other side must follow.
+            lead, follow = pair[::-1] if is_in else pair
+            if lead is not None and pair not in seen:
+                if follow is None:
+                    return False
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def compose_detailed(

@@ -2,27 +2,28 @@
 
 A contract is determined by a prefix-closed closed-system language S and an
 io signature.  The maximal environment E_S = S ∪ MissExt(S, S, O) and the
-maximal implementation M_S = S ∪ MissExt(S, S, I) are derived at
-construction; refinement, composition, mirror and quotient all reduce to
-language algebra on these three languages.  E_S, M_S and the composite
-closed system R are each one pass over one product (`S×S` or `S×S'`),
-built by the marked-product helper of `receptive`.
+maximal implementation M_S = S ∪ MissExt(S, S, I) are each one pass over S's
+own canonical rows, made on first read; refinement, composition, mirror and
+quotient reduce to language algebra on these three languages.  The composite
+closed system R is one marked product S×S' (see `receptive`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SignatureMismatch, ValidationError
 from .lang import (
+    Alphabet,
     IoSignature,
     RegularLanguage,
-    counterexample,
+    _cap_exceeded,
     is_prefix_closed,
     is_receptive,
     is_subset,
-    prefix_closure,
-    star_of,
+    prefix_closure_witness,
+    state_cap,
     word_str,
 )
 from .receptive import _marked_product
@@ -45,39 +46,43 @@ class InterfaceHypercontract:
     def __post_init__(self):
         if self.s.alphabet != self.io.alphabet:
             raise SignatureMismatch("S and signature use different alphabets")
-        s = self.s.canonical()
-        object.__setattr__(self, "s", s)
-        w = counterexample(prefix_closure(s), s)
+        object.__setattr__(self, "s", self.s.canonical())
+        w = prefix_closure_witness(self.s)
         if w is not None:
             raise ValidationError(f"S not prefix-closed at witness {word_str(w)}")
-        if not s.accepts(()):
+        if not self.s.accepts(()):
             raise ValidationError("S must contain the empty word")
-        self._derive()
 
     @classmethod
     def _trusted(cls, s: RegularLanguage, io: IoSignature) -> "InterfaceHypercontract":
-        """Trusted constructor for composition results, whose S is already
-        prefix-closed and holds ε: canonicalizes S and derives E_S and M_S."""
+        """Trusted constructor for an S already prefix-closed and holding ε."""
         self = object.__new__(cls)
         object.__setattr__(self, "s", s.canonical())
         object.__setattr__(self, "io", io)
-        self._derive()
         return self
 
-    def _derive(self) -> None:
-        s = self.s
-        object.__setattr__(self, "_e", _marked_product(s, s, "E_S", lambda q, r: q, miss=self.io.outputs))
-        object.__setattr__(self, "_m", _marked_product(s, s, "M_S", lambda q, r: q, miss=self.io.inputs))
+    def _maximal(self, gamma: frozenset[str], op: str) -> RegularLanguage:
+        """S ∪ MissExt(S, S, Γ) in one pass over S's rows: S is prefix-closed, so a Γ-edge
+        from accepting to rejecting is a missing extension and goes to ⊤ (accepts Σ*)."""
+        s, top, cap = self.s, self.s.n_states, state_cap()
+        if top > cap:
+            raise _cap_exceeded(cap, op, (top,))
+        idx, acc = {s.alphabet.index(x) for x in gamma}, s.accepting
+        delta = tuple(
+            tuple(top if k in idx and q in acc and t not in acc else t for k, t in enumerate(row))
+            for q, row in enumerate(s.delta)
+        ) + ((top,) * len(s.alphabet),)
+        return RegularLanguage._trusted(s.alphabet, s.initial, acc | {top}, delta).canonical()
 
-    @property
+    @cached_property
     def e(self) -> RegularLanguage:
         """E_S, the largest admissible environment language."""
-        return self._e  # type: ignore[attr-defined]
+        return self._maximal(self.io.outputs, "E_S")
 
-    @property
+    @cached_property
     def m(self) -> RegularLanguage:
         """M_S, the largest admissible implementation language."""
-        return self._m  # type: ignore[attr-defined]
+        return self._maximal(self.io.inputs, "M_S")
 
 
 def from_s(s: RegularLanguage, io: IoSignature) -> InterfaceHypercontract:
@@ -87,22 +92,21 @@ def from_s(s: RegularLanguage, io: IoSignature) -> InterfaceHypercontract:
 
 def is_environment(c: InterfaceHypercontract, lang: RegularLanguage) -> bool:
     """O-receptive, prefix-closed, and O* ⊆ E ⊆ E_S."""
-    return _admissible(lang, c.io.outputs, c.e)
+    return _admissible(lang, c.io.alphabet, c.io.outputs) and is_subset(lang, c.e)
 
 
 def is_implementation(c: InterfaceHypercontract, lang: RegularLanguage) -> bool:
     """I-receptive, prefix-closed, and I* ⊆ M ⊆ M_S."""
-    return _admissible(lang, c.io.inputs, c.m)
+    return _admissible(lang, c.io.alphabet, c.io.inputs) and is_subset(lang, c.m)
 
 
-def _admissible(lang: RegularLanguage, receptive_to: frozenset[str], bound: RegularLanguage) -> bool:
-    if lang.alphabet != bound.alphabet:
-        return False
+def _admissible(lang: RegularLanguage, alphabet: Alphabet, receptive_to: frozenset[str]) -> bool:
+    """All but the bound, which callers test last, so E_S or M_S is derived only if needed."""
     return (
-        is_prefix_closed(lang)
+        lang.alphabet == alphabet
+        and is_prefix_closed(lang)
         and is_receptive(lang, receptive_to)
-        and is_subset(star_of(lang.alphabet, receptive_to), lang)
-        and is_subset(lang, bound)
+        and lang.accepts(())  # receptive, so receptive_to* ⊆ L exactly when ε ∈ L
     )
 
 

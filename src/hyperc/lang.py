@@ -519,12 +519,21 @@ def is_subset(a: RegularLanguage, b: RegularLanguage) -> bool:
 
 
 def is_prefix_closed(lang: RegularLanguage) -> bool:
-    return is_subset(prefix_closure(lang), lang)
+    """One scan of the canonical rows: no edge leads from rejecting to accepting."""
+    c = lang.canonical()
+    return not any(t in c.accepting for q, row in enumerate(c.delta) if q not in c.accepting for t in row)
+
+
+def prefix_closure_witness(lang: RegularLanguage) -> Word | None:
+    """None if L is prefix-closed, else the shortest word of Pre(L) \\ L."""
+    return None if is_prefix_closed(lang) else counterexample(prefix_closure(lang), lang)
 
 
 def is_receptive(lang: RegularLanguage, inputs: Iterable[str]) -> bool:
-    """Extension clause only: L∘I ⊆ L (callers combine with is_prefix_closed)."""
-    return is_subset(concat_symbol_class(lang, inputs), lang)
+    """L∘I ⊆ L only (not prefix closure), by one scan: I-edges from accepting canonical states accept."""
+    c = lang.canonical()
+    idx = [c.alphabet.index(s) for s in inputs]
+    return all(c.delta[q][k] in c.accepting for q in c.accepting for k in idx)
 
 
 def enumerate_words(lang: RegularLanguage, max_len: int, limit: int = MAX_ENUM_LEN) -> list[Word]:

@@ -5,8 +5,8 @@ A language is I-receptive when it is prefix-closed and closed under
 extension by input words.  Within one signature the receptive languages
 form a Heyting algebra (meet/join/exponential); across signatures they
 compose by intersection and divide by the residual of composition.
-MissExt, Unc and every closed form built from them (the exponential, the
-quotient, and E_S, M_S and R in `contracts`) are one pass over one product.
+MissExt, Unc and the closed forms built from them (the exponential, the
+quotient, and R in `contracts`) are one pass over one product.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from .lang import (
     close_backward,
     concat_symbol_class,
     counterexample,
+    is_receptive,
     is_subset,
-    prefix_closure,
+    prefix_closure_witness,
     product_map,
     star_of,
     word_str,
@@ -41,13 +42,13 @@ class ReceptiveLanguage:
         if self.lang.alphabet != self.io.alphabet:
             raise SignatureMismatch("language and signature use different alphabets")
         object.__setattr__(self, "lang", self.lang.canonical())
-        w = counterexample(prefix_closure(self.lang), self.lang)
+        w = prefix_closure_witness(self.lang)
         if w is not None:
             raise ValidationError(f"not prefix-closed at witness {word_str(w)}")
-        w = counterexample(concat_symbol_class(self.lang, self.io.inputs), self.lang)
-        if w is not None:
+        if not is_receptive(self.lang, self.io.inputs):
+            w = counterexample(concat_symbol_class(self.lang, self.io.inputs), self.lang)
             raise ValidationError(f"not receptive at witness {word_str(w)}")
-        if not is_subset(star_of(self.io.alphabet, self.io.inputs), self.lang):
+        if not self.lang.accepts(()):  # L is I-receptive, so I* ⊆ L exactly when ε ∈ L
             raise ValidationError("language does not contain the bottom language I*")
 
     @classmethod

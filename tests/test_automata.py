@@ -6,19 +6,62 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lang_of
-from hyperc.automata import compose, compose_detailed, language, make, refines, to_contract
+from hyperc.automata import (
+    InterfaceAutomaton,
+    compose,
+    compose_detailed,
+    language,
+    make,
+    refines,
+    to_contract,
+)
 from hyperc.contracts import Incompatible, from_s
 from hyperc.contracts import compose as contract_compose
 from hyperc.contracts import refines as contract_refines
 from hyperc.errors import LimitExceeded, SignatureMismatch, ValidationError
 from hyperc.lang import Alphabet, IoSignature, is_subset
-from hyperc.oracle import BoundedCheckConfig, random_ia
+from hyperc.oracle import BoundedCheckConfig, random_alphabet, random_ia, random_signature
 
 AB1 = Alphabet(("a",))
 IO_OUT_A = IoSignature(AB1, frozenset())
 IO_IN_A = IoSignature(AB1, frozenset({"a"}))
+
+
+def reference_refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
+    """Greatest alternating simulation by whole-relation rescans until nothing
+    changes; the answer is whether the initial pair stays related."""
+    alphabet = a1.io.alphabet
+    out_idx = [alphabet.index(s) for s in alphabet.symbols if s not in a1.io.inputs]
+    in_idx = [alphabet.index(s) for s in alphabet.symbols if s in a1.io.inputs]
+    related = {(q1, q2) for q1 in range(a1.n_states) for q2 in range(a2.n_states)}
+    changed = True
+    while changed:
+        changed = False
+        for q1, q2 in list(related):
+            moves = [(a1.trans[q1][k], a2.trans[q2][k], a1.trans[q1][k]) for k in out_idx]
+            moves += [(a1.trans[q1][k], a2.trans[q2][k], a2.trans[q2][k]) for k in in_idx]
+            if any(lead is not None and (t1, t2) not in related for t1, t2, lead in moves):
+                related.discard((q1, q2))
+                changed = True
+    return (a1.initial, a2.initial) in related
+
+
+def _fewer_outputs_more_inputs(rng: random.Random, a: InterfaceAutomaton) -> InterfaceAutomaton:
+    """A copy of `a` with some output edges dropped and some input edges added
+    (often a refinement of `a` in the other direction, so both answers occur)."""
+    alphabet, n = a.io.alphabet, a.n_states
+    rows = [list(row) for row in a.trans]
+    for row in rows:
+        for k, s in enumerate(alphabet.symbols):
+            if s not in a.io.inputs and row[k] is not None and rng.random() < 0.3:
+                row[k] = None
+            elif s in a.io.inputs and row[k] is None and rng.random() < 0.3:
+                row[k] = rng.randrange(n)
+    return InterfaceAutomaton(a.io, a.state_names, a.initial, tuple(tuple(row) for row in rows))
 
 
 @pytest.fixture
@@ -89,6 +132,17 @@ class TestRefines:
         other = make(IoSignature(ab, frozenset({"o"})), ["p"], "p", {})
         with pytest.raises(SignatureMismatch):
             refines(iloop, other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_fixpoint(self, seed):
+        rng = random.Random(seed)
+        io = random_signature(rng, random_alphabet(rng))
+        a1 = random_ia(rng, io, 6)
+        a2 = random_ia(rng, io, 6)
+        a3 = _fewer_outputs_more_inputs(rng, a1)
+        for x, y in ((a1, a2), (a2, a1), (a3, a1), (a1, a3), (a1, a1)):
+            assert refines(x, y) == reference_refines(x, y)
 
     def test_transitive_spot(self, ab, io_i):
         cfg = BoundedCheckConfig(random_seed=43, num_cases=80, max_states=4)

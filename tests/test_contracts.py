@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lang_of, reference_miss_ext, reference_unc
+from conftest import all_words, lang_of, reference_miss_ext, reference_unc
 from hyperc.contracts import (
     Incompatible,
     InterfaceHypercontract,
@@ -82,6 +82,63 @@ class TestFromS:
         c = from_s(s, io)
         assert c.e == s.union(reference_miss_ext(s, s, io.outputs))
         assert c.m == s.union(reference_miss_ext(s, s, io.inputs))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_definition_word_by_word(self, seed):
+        # w ∈ S ∪ MissExt(S, S, Γ) iff w ∈ S or some prefix u∘σ of w has
+        # u ∈ S, σ ∈ Γ and u∘σ ∉ S; checked on every word up to length 5.
+        rng = random.Random(seed)
+        io = random_signature(rng, random_alphabet(rng))
+        s = random_prefix_closed(rng, io.alphabet, 6)
+        c = from_s(s, io)
+        for derived, gamma in ((c.e, io.outputs), (c.m, io.inputs)):
+            for w in all_words(io.alphabet, 5):
+                missing = any(
+                    w[k] in gamma and s.accepts(w[:k]) and not s.accepts(w[: k + 1]) for k in range(len(w))
+                )
+                assert derived.accepts(w) == (s.accepts(w) or missing)
+
+    @pytest.mark.parametrize("which, op", [("e", "E_S"), ("m", "M_S")])
+    def test_state_cap_boundary(self, monkeypatch, which, op):
+        # S has n canonical states; E_S and M_S are refused just above n.
+        s = lang_of(AB1, "", "a", "aa")
+        n = s.canonical().n_states
+        io = IoSignature(AB1, frozenset({"a"}) if which == "m" else frozenset())
+        expected = getattr(from_s(s, io), which)
+        monkeypatch.setenv("HYPERC_MAX_STATES", str(n - 1))
+        message = rf"^product exceeds state cap {n - 1} \(HYPERC_MAX_STATES\) in {op} of {n} states$"
+        with pytest.raises(LimitExceeded, match=message):
+            getattr(from_s(s, io), which)
+        monkeypatch.setenv("HYPERC_MAX_STATES", str(n))
+        assert getattr(from_s(s, io), which) == expected
+
+
+class TestLazyDerivation:
+    def test_operators_derive_nothing_until_read(self, ab, io_i, istar, top, monkeypatch):
+        derived = []
+        maximal = InterfaceHypercontract._maximal
+        def counted(c, gamma, op):
+            derived.append(op)
+            return maximal(c, gamma, op)
+
+        monkeypatch.setattr(InterfaceHypercontract, "_maximal", counted)
+        c = from_s(istar, io_i)
+        results = [
+            compose(from_s(top, io_i), from_s(top, IoSignature(ab, frozenset({"o"})))),
+            mirror(c),
+            quotient(c, from_s(top, IoSignature(ab, frozenset({"i", "o"})))),
+        ]
+        assert all(isinstance(r, InterfaceHypercontract) for r in results)
+        # A candidate that fails before the bound check derives no bound.
+        assert not is_implementation(c, lang_of(ab, "io")) and not is_environment(c, star_of(ab, {"i"}))
+        assert derived == []
+        assert all("e" not in vars(r) and "m" not in vars(r) for r in results)
+        for r in results:
+            e, m = r.e, r.m
+            assert r.e is e and r.m is m
+        assert derived == ["E_S", "M_S"] * len(results)
 
 
 class TestMembership:

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import hyperc.lang
 from conftest import all_words, lang_of
-from hyperc.errors import AlphabetMismatch, HypercError, LimitExceeded
+from hyperc.contracts import from_s, is_environment, is_implementation
+from hyperc.errors import AlphabetMismatch, HypercError, LimitExceeded, ValidationError
 from hyperc.lang import (
     Alphabet,
+    IoSignature,
     RegularLanguage,
     _canonicalize,
     boolean_op,
@@ -35,6 +37,7 @@ from hyperc.lang import (
     state_cap,
     word_str,
 )
+from hyperc.receptive import ReceptiveLanguage
 
 
 @st.composite
@@ -79,6 +82,44 @@ def raw_dfas(draw, alphabet: Alphabet, max_states: int = 40) -> RegularLanguage:
 def raw_dfa_pairs(draw) -> tuple[RegularLanguage, RegularLanguage]:
     alphabet = draw(st.sampled_from(ALPHABETS))
     return draw(raw_dfas(alphabet)), draw(raw_dfas(alphabet))
+
+
+@st.composite
+def mostly_closed_dfas(draw, alphabet: Alphabet | None = None) -> tuple[RegularLanguage, frozenset[str]]:
+    """A raw DFA (see raw_dfas) and an input set I.  The DFA is kept as drawn,
+    or some of its edges (never its I-edges, in the receptive mode) are led
+    to a new rejecting sink and every other state accepts, so that L is
+    prefix-closed (and I-receptive); then one more state other than the
+    initial one may reject, which breaks both unless it is unreachable."""
+    alphabet = alphabet or draw(st.sampled_from(ALPHABETS))
+    lang = draw(raw_dfas(alphabet, max_states=12))
+    inputs = frozenset(draw(st.sets(st.sampled_from(alphabet.symbols))))
+    mode = draw(st.sampled_from(("raw", "prefix-closed", "receptive")))
+    if mode == "raw":
+        return lang, inputs
+    n, k = lang.n_states, len(alphabet)
+    keep = [mode == "receptive" and s in inputs for s in alphabet.symbols]
+    cut = draw(st.lists(st.integers(0, 3), min_size=n * k, max_size=n * k))
+    delta = [
+        [n if cut[q * k + j] == 0 and not keep[j] else t for j, t in enumerate(row)]
+        for q, row in enumerate(lang.delta)
+    ] + [[n] * k]
+    rejecting = {n} | draw(st.sets(st.integers(0, n - 1), max_size=1)) - {lang.initial}
+    return RegularLanguage(alphabet, lang.initial, frozenset(range(n + 1)) - rejecting, delta), inputs
+
+
+def reference_receptive_error(lang: RegularLanguage, io: IoSignature) -> str | None:
+    """The ReceptiveLanguage checks as product chains, with their messages."""
+    lang = lang.canonical()
+    w = counterexample(prefix_closure(lang), lang)
+    if w is not None:
+        return f"not prefix-closed at witness {word_str(w)}"
+    w = counterexample(concat_symbol_class(lang, io.inputs), lang)
+    if w is not None:
+        return f"not receptive at witness {word_str(w)}"
+    if not is_subset(star_of(io.alphabet, io.inputs), lang):
+        return "language does not contain the bottom language I*"
+    return None
 
 
 def reference_moore(lang: RegularLanguage) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
@@ -242,6 +283,83 @@ class TestDecisions:
     def test_subset_transitive(self, a, b, c):
         if is_subset(a, b) and is_subset(b, c):
             assert is_subset(a, c)
+
+
+class TestValidityScans:
+    """The one-scan checks decide what the product chains they replace decide,
+    on raw DFAs with unreachable and duplicate states."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mostly_closed_dfas())
+    def test_prefix_closed_matches_chain(self, case):
+        lang, _inputs = case
+        assert is_prefix_closed(lang) == is_subset(prefix_closure(lang), lang)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mostly_closed_dfas())
+    def test_receptive_matches_chain(self, case):
+        lang, inputs = case
+        assert is_receptive(lang, inputs) == is_subset(concat_symbol_class(lang, inputs), lang)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mostly_closed_dfas())
+    def test_star_containment_is_epsilon_when_receptive(self, case):
+        # The constructors test I* ⊆ L only once L∘I ⊆ L holds, and then it
+        # is exactly ε ∈ L.
+        lang, inputs = case
+        if is_subset(concat_symbol_class(lang, inputs), lang):
+            assert lang.accepts(()) == is_subset(star_of(lang.alphabet, inputs), lang)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mostly_closed_dfas())
+    def test_receptive_language_verdict_and_message(self, case):
+        lang, inputs = case
+        io = IoSignature(lang.alphabet, inputs)
+        try:
+            ReceptiveLanguage(lang, io)
+            found = None
+        except ValidationError as e:
+            found = str(e)
+        assert found == reference_receptive_error(lang, io)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mostly_closed_dfas())
+    def test_contract_verdict_and_message(self, case):
+        lang, inputs = case
+        c = lang.canonical()
+        w = counterexample(prefix_closure(c), c)
+        if w is not None:
+            expected = f"S not prefix-closed at witness {word_str(w)}"
+        else:
+            expected = None if c.accepts(()) else "S must contain the empty word"
+        try:
+            from_s(lang, IoSignature(lang.alphabet, inputs))
+            found = None
+        except ValidationError as e:
+            found = str(e)
+        assert found == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mostly_closed_dfas(), data=st.data())
+    def test_admissibility_matches_chain(self, case, data):
+        lang, inputs = case
+        io = IoSignature(lang.alphabet, inputs)
+        s = data.draw(mostly_closed_dfas(lang.alphabet))[0]
+        if not (is_prefix_closed(s) and s.accepts(())):
+            return
+        c = from_s(s, io)
+        for verdict, gamma, bound in ((is_environment, io.outputs, c.e), (is_implementation, io.inputs, c.m)):
+            expected = (
+                is_subset(prefix_closure(lang), lang)
+                and is_subset(concat_symbol_class(lang, gamma), lang)
+                and is_subset(star_of(lang.alphabet, gamma), lang)
+                and is_subset(lang, bound)
+            )
+            assert verdict(c, lang) == expected
+
+    def test_unknown_symbol_rejected(self, istar):
+        with pytest.raises(AlphabetMismatch):
+            is_receptive(istar, {"z"})
 
 
 class TestCanonical:
