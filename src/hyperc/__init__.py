@@ -36,7 +36,6 @@ from .lang import (
     IoSignature,
     RegularLanguage,
     Word,
-    boolean_op,
     canonicalize,
     concat_sigma_star,
     concat_symbol_class,
@@ -80,7 +79,6 @@ __all__ = [
     "UniverseTooLarge",
     "ValidationError",
     "Word",
-    "boolean_op",
     "canonicalize",
     "concat_sigma_star",
     "concat_symbol_class",

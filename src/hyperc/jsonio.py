@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .automata import InterfaceAutomaton
+from .automata import InterfaceAutomaton, make
 from .behavioral import (
     AgContract,
     BehavioralHypercontract,
@@ -59,21 +59,23 @@ def parse_alphabet(doc: dict, what: str = "language") -> Alphabet:
         raise DocumentError(str(err)) from None
 
 
-def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
-    alphabet = parse_alphabet(doc)
-    states = _string_list(doc, "states", "language")
+def _states(doc: dict, what: str) -> tuple[list[str], dict[str, int], str]:
+    """The state names of a transition-table document, their positions and its initial state."""
+    states = _string_list(doc, "states", what)
     if not states or len(set(states)) != len(states):
         raise DocumentError("states must be a nonempty list of distinct names")
+    initial = _require(doc, "initial", str, what)
     pos = {s: k for k, s in enumerate(states)}
-    initial = _require(doc, "initial", str, "language")
     if initial not in pos:
         raise DocumentError(f"unknown initial state {initial!r}")
-    accepting = _string_list(doc, "accepting", "language")
-    for s in accepting:
-        if s not in pos:
-            raise DocumentError(f"unknown accepting state {s!r}")
-    rows: list[list[int | None]] = [[None] * len(alphabet) for _ in states]
-    for entry in _require(doc, "transitions", list, "language"):
+    return states, pos, initial
+
+
+def _rows(doc: dict, alphabet: Alphabet, pos: dict[str, int], what: str) -> list[list[int | None]]:
+    """The partial transition function rows[state][symbol] of a transition-table
+    document, by position; None where a document lists no transition."""
+    rows: list[list[int | None]] = [[None] * len(alphabet) for _ in pos]
+    for entry in _require(doc, "transitions", list, what):
         if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
             raise DocumentError(f"transition {entry!r} must be the triple [state, symbol, state]")
         src, sym, dst = entry
@@ -85,14 +87,22 @@ def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
         if rows[pos[src]][k] is not None:
             raise DocumentError(f"nondeterministic transitions from {src!r} on {sym!r}")
         rows[pos[src]][k] = pos[dst]
-    n = len(states)
+    return rows
+
+
+def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
+    alphabet = parse_alphabet(doc)
+    states, pos, initial = _states(doc, "language")
+    accepting = _string_list(doc, "accepting", "language")
+    for s in accepting:
+        if s not in pos:
+            raise DocumentError(f"unknown accepting state {s!r}")
+    rows = _rows(doc, alphabet, pos, "language")
     partial = any(t is None for row in rows for t in row)
     if partial and not auto_trap:
         raise DocumentError("partial transition function (auto-trap disabled)")
-    sink = n
-    delta = tuple(
-        tuple(sink if t is None else t for t in row) for row in rows
-    )
+    sink = len(states)
+    delta = tuple(tuple(sink if t is None else t for t in row) for row in rows)
     if partial:
         delta = delta + ((sink,) * len(alphabet),)
     return RegularLanguage(alphabet, pos[initial], frozenset(pos[s] for s in accepting), delta)
@@ -163,30 +173,19 @@ def contract_doc(c: InterfaceHypercontract, derived: bool = True) -> dict:
 
 
 def parse_ia(doc: dict) -> InterfaceAutomaton:
-    alphabet = parse_alphabet(doc, "interface automaton")
-    io = IoSignature(alphabet, _inputs_of(doc, alphabet, "interface automaton"))
-    states = _string_list(doc, "states", "interface automaton")
-    if not states or len(set(states)) != len(states):
-        raise DocumentError("states must be a nonempty list of distinct names")
-    initial = _require(doc, "initial", str, "interface automaton")
-    if initial not in states:
-        raise DocumentError(f"unknown initial state {initial!r}")
-    transitions: dict[tuple[str, str], str] = {}
-    for entry in _require(doc, "transitions", list, "interface automaton"):
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
-            raise DocumentError(f"transition {entry!r} must be the triple [state, symbol, state]")
-        src, sym, dst = entry
-        if src not in states or dst not in states:
-            raise DocumentError(f"unknown state in transition {entry!r}")
-        if sym not in alphabet:
-            raise DocumentError(f"unknown symbol {sym!r}")
-        if (src, sym) in transitions:
-            raise DocumentError(f"nondeterministic transitions from {src!r} on {sym!r}")
-        transitions[(src, sym)] = dst
-    from . import automata
-
+    what = "interface automaton"
+    alphabet = parse_alphabet(doc, what)
+    io = IoSignature(alphabet, _inputs_of(doc, alphabet, what))
+    states, pos, initial = _states(doc, what)
+    rows = _rows(doc, alphabet, pos, what)
+    triples = [
+        (states[q], sym, states[t])
+        for q, row in enumerate(rows)
+        for sym, t in zip(alphabet.symbols, row)
+        if t is not None
+    ]
     try:
-        return automata.make(io, states, initial, transitions)
+        return make(io, states, initial, triples)
     except HypercError as err:
         raise DocumentError(str(err)) from None
 

@@ -236,20 +236,6 @@ class RegularLanguage:
         return _binary(self, other, lambda a, b: a and not b, "difference")
 
 
-def boolean_op(kind: str, lang: RegularLanguage, other: RegularLanguage | None = None) -> RegularLanguage:
-    """Dispatch by name; complement takes one operand, the rest take two."""
-    if kind == "complement":
-        if other is not None:
-            raise ValueError("complement takes a single operand")
-        return lang.complement()
-    if other is None:
-        raise ValueError(f"{kind} takes two operands")
-    try:
-        return {"union": lang.union, "intersect": lang.intersect, "difference": lang.difference}[kind](other)
-    except KeyError:
-        raise ValueError(f"unknown boolean operation {kind!r}") from None
-
-
 # -- construction helpers ---------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from .lang import (
     Word,
     is_subset,
     star_of,
+    state_cap,
     word_str,
 )
 from .receptive import (
@@ -55,6 +56,12 @@ class BoundedCheckConfig:
             raise ValidationError(f"num_cases (--cases) must be nonnegative, got {self.num_cases}")
         if self.max_states < 1:
             raise ValidationError(f"max_states (--max-states) must be at least 1, got {self.max_states}")
+        # The generators allocate up to max_states rows before any capped product.
+        cap = state_cap()
+        if self.max_states > cap:
+            raise ValidationError(
+                f"max_states (--max-states) must be at most the state cap {cap}, got {self.max_states}"
+            )
 
     def rng(self) -> random.Random:
         return random.Random(self.random_seed)

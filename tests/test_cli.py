@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,10 @@ import hyperc.contracts
 import hyperc.lang
 import hyperc.oracle
 import hyperc.receptive
-from hyperc.cli import OPERATIONS, build_parser, main
+from hyperc.cli import VERBS, build_parser, main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def fx(name: str) -> str:
@@ -125,6 +127,25 @@ class TestDocuments:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["initial"] == "s0"
 
+    @pytest.mark.parametrize("target", ["missing_dir/out.json", "."])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "lang", "canon", fx("istar.json"), "-o", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, echoed",
+        [
+            (("lang", "enumerate", "istar.json", "--max-len", "0"), {"max_len": 0}),
+            (("oracle", "missext", "--seed", "0", "--cases", "0"), {"seed": 0, "cases": 0, "max_len": 6}),
+        ],
+    )
+    def test_json_echo_keeps_zero_flags(self, capsys, argv, echoed):
+        argv = [fx(a) if a.endswith(".json") else a for a in argv]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["operation"]["args"] == echoed
+
 
 class TestContractsAndAutomata:
     def test_from_s_emits_derived(self, capsys):
@@ -167,6 +188,14 @@ class TestContractsAndAutomata:
         )
         code, _, err = run(capsys, "iface", "validate", str(bad))
         assert code == 2 and "not prefix-closed" in err
+
+    def test_validate_membership_flags_are_exclusive(self, capsys):
+        argv = ["iface", "validate", fx("c_istar.json"), "--implementation", fx("sigma.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--environment", fx("sigma.json")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --environment: not allowed with argument --implementation" in err
 
     def test_validate_membership_flags(self, capsys):
         code, out, _ = run(
@@ -300,6 +329,10 @@ class TestErrors:
         [
             (("all", "--cases", "-1"), "num_cases (--cases) must be nonnegative, got -1"),
             (("unc", "--cases", "2", "--max-states", "0"), "max_states (--max-states) must be at least 1, got 0"),
+            (
+                ("missext", "--cases", "1", "--max-states", "10001"),
+                "max_states (--max-states) must be at most the state cap 10000, got 10001",
+            ),
         ],
     )
     def test_oracle_numeric_flags(self, capsys, flags, message):
@@ -375,7 +408,7 @@ class TestHashSeed:
 
 class TestCommandTable:
     def test_every_operation_under_exactly_one_subcommand(self):
-        inventory = [op for ops in OPERATIONS.values() for op in ops]
+        inventory = [op for verb in VERBS.values() for op in verb.operations]
         assert len(inventory) == len(set(inventory))
         documented = {
             "lang": (
@@ -422,9 +455,16 @@ class TestCommandTable:
     def test_table_matches_registered_subcommands(self):
         parser = build_parser()
         groups = parser._subparsers._group_actions[0].choices  # noqa: SLF001
-        registered = set()
+        registered = []
         for group_name, group_parser in groups.items():
             verbs = group_parser._subparsers._group_actions[0].choices  # noqa: SLF001
-            registered.update(f"{group_name} {verb}" for verb in verbs)
-        assert set(OPERATIONS) <= registered
-        assert registered - set(OPERATIONS) == {"oracle all"}
+            registered.extend(f"{group_name} {verb}" for verb in verbs)
+        assert registered == list(VERBS)
+        assert {name for name, verb in VERBS.items() if not verb.operations} == {"oracle all"}
+
+    def test_readme_lists_the_registered_verbs(self):
+        text = README.read_text(encoding="utf-8")
+        table = text[text.index("Groups and verbs:"):]
+        rows = re.findall(r"^\| `([a-z]+)` *\| `([^`]*)` \|$", table, flags=re.MULTILINE)
+        listed = {f"{group} {verb}" for group, verbs in rows for verb in verbs.split()}
+        assert listed == set(VERBS)

@@ -1,0 +1,101 @@
+"""Golden digests of the CLI: every call's (exit code, stdout, stderr).
+
+`tests/data/cli_golden.json` maps each argv (shell-quoted) to the sha256 of
+its outcome.  Each call runs `python -m hyperc` from `tests/data` with bare
+file names, so the paths echoed by `--format json` do not depend on where the
+checkout lives.  A change that alters any byte of any of these outputs fails
+the comparison.
+
+The module needs only the standard library, so it also runs without pytest:
+
+    PYTHONPATH=src python tests/test_cli_golden.py            # compare
+    PYTHONPATH=src python tests/test_cli_golden.py --record   # rewrite the file
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+from test_acceptance import CLI_CORPUS
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ORACLE_KINDS = (
+    "missext",
+    "unc",
+    "exponential",
+    "receptive-quotient",
+    "interface-compose",
+    "ia-equivalence",
+    "conic-quotient",
+    "conic-ops",
+)
+
+#: Paths the acceptance corpus does not reach.
+EXTRA_CALLS: tuple[tuple[str, ...], ...] = (
+    *(("oracle", kind, "--seed", "7", "--cases", "3", "--max-len", "3") for kind in ORACLE_KINDS),
+    ("lang", "union", "istar.json", "sigma.json"),
+    ("lang", "intersect", "rec_istar.json", "rec_sigma.json"),
+    ("lang", "canon", "rec_istar.json"),
+    ("iface", "validate", "c_istar.json"),
+    ("iface", "validate", "c_istar.json", "--environment", "sigma.json"),
+    ("beh", "quotient", "beh.json", "h12", "htop"),
+    ("beh", "quotient", "beh.json", "cmix", "ctop"),
+    ("beh", "quotient", "beh.json", "cmix", "ctop", "--general"),
+)
+
+
+def golden_argvs() -> list[tuple[str, ...]]:
+    return [
+        (*argv, "--format", fmt) for argv in (*CLI_CORPUS, *EXTRA_CALLS) for fmt in ("text", "json")
+    ]
+
+
+def outcome_digest(argv: tuple[str, ...]) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in ("HYPERC_MAX_STATES", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperc", *argv], cwd=DATA, env=env, capture_output=True, check=False
+    )
+    outcome = json.dumps([proc.returncode, proc.stdout.decode(), proc.stderr.decode()])
+    return hashlib.sha256(outcome.encode("utf-8")).hexdigest()
+
+
+def current_digests() -> dict[str, str]:
+    return {shlex.join(argv): outcome_digest(argv) for argv in golden_argvs()}
+
+
+def test_cli_outputs_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    current = current_digests()
+    assert sorted(current) == sorted(golden)
+    changed = [key for key in golden if current[key] != golden[key]]
+    assert not changed, f"{len(changed)} calls changed output, first: {changed[:5]}"
+
+
+def main(argv: list[str]) -> int:
+    current = current_digests()
+    if argv == ["--record"]:
+        GOLDEN.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {len(current)} digests")
+        return 0
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    changed = sorted(set(golden) ^ set(current)) + [
+        key for key in golden if key in current and current[key] != golden[key]
+    ]
+    for key in changed:
+        print(f"DIFF {key}")
+    print(f"{len(current) - len(changed)}/{len(golden)} digests match on Python {sys.version.split()[0]}")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -19,7 +19,6 @@ from hyperc.lang import (
     IoSignature,
     RegularLanguage,
     _canonicalize,
-    boolean_op,
     close_backward,
     concat_sigma_star,
     concat_symbol_class,
@@ -183,19 +182,11 @@ class TestBooleanOps:
         with pytest.raises(AlphabetMismatch, match="alphabet mismatch"):
             istar.union(other)
 
-    def test_dispatch(self, istar, top):
-        assert boolean_op("union", istar, top) == top
-        assert boolean_op("complement", istar) == top.difference(istar)
-        with pytest.raises(ValueError):
-            boolean_op("complement", istar, top)
-        with pytest.raises(ValueError):
-            boolean_op("union", istar)
-
     @settings(max_examples=60, deadline=None)
     @given(a=dfas(AB3), b=dfas(AB3), data=st.data())
     def test_membership_matches_set_operation(self, a, b, data):
         kind = data.draw(st.sampled_from(["union", "intersect", "difference"]))
-        result = boolean_op(kind, a, b)
+        result = getattr(a, kind)(b)
         pick = {"union": lambda x, y: x or y,
                 "intersect": lambda x, y: x and y,
                 "difference": lambda x, y: x and not y}[kind]
