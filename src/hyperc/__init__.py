@@ -9,88 +9,41 @@ Modules:
   oracle      brute-force definitional checkers for every closed form
   jsonio      canonical JSON documents for all of the above
   cli         the `hyperc` command-line front-end
+
+The names below, and the modules that define them, are imported on first use
+(PEP 562): `import hyperc` loads none of them until one is read.
 """
 
-from .automata import InterfaceAutomaton
-from .behavioral import (
-    AgContract,
-    BehavioralHypercontract,
-    Component,
-    ConicCompset,
-    GeneralCompset,
-    Universe,
-)
-from .contracts import Incompatible, InterfaceHypercontract
-from .errors import (
-    AlphabetMismatch,
-    DocumentError,
-    HypercError,
-    LimitExceeded,
-    QuotientUndefined,
-    SignatureMismatch,
-    UniverseTooLarge,
-    ValidationError,
-)
-from .lang import (
-    Alphabet,
-    IoSignature,
-    RegularLanguage,
-    Word,
-    canonicalize,
-    concat_sigma_star,
-    concat_symbol_class,
-    counterexample,
-    empty_language,
-    enumerate_words,
-    from_words,
-    is_prefix_closed,
-    is_receptive,
-    is_subset,
-    prefix_closure,
-    sigma_star,
-    star_of,
-    word_str,
-)
-from .oracle import BoundedCheckConfig, CheckReport
-from .receptive import ReceptiveLanguage
+from importlib import import_module
 
-__all__ = [
-    "AgContract",
-    "Alphabet",
-    "AlphabetMismatch",
-    "BehavioralHypercontract",
-    "BoundedCheckConfig",
-    "CheckReport",
-    "Component",
-    "ConicCompset",
-    "DocumentError",
-    "GeneralCompset",
-    "HypercError",
-    "Incompatible",
-    "InterfaceAutomaton",
-    "InterfaceHypercontract",
-    "IoSignature",
-    "LimitExceeded",
-    "QuotientUndefined",
-    "ReceptiveLanguage",
-    "RegularLanguage",
-    "SignatureMismatch",
-    "Universe",
-    "UniverseTooLarge",
-    "ValidationError",
-    "Word",
-    "canonicalize",
-    "concat_sigma_star",
-    "concat_symbol_class",
-    "counterexample",
-    "empty_language",
-    "enumerate_words",
-    "from_words",
-    "is_prefix_closed",
-    "is_receptive",
-    "is_subset",
-    "prefix_closure",
-    "sigma_star",
-    "star_of",
-    "word_str",
-]
+_EXPORTS = {
+    "automata": "InterfaceAutomaton",
+    "behavioral": "AgContract BehavioralHypercontract Component ConicCompset GeneralCompset Universe",
+    "contracts": "Incompatible InterfaceHypercontract",
+    "errors": (
+        "AlphabetMismatch DocumentError HypercError LimitExceeded QuotientUndefined SignatureMismatch"
+        " UniverseTooLarge ValidationError"
+    ),
+    "lang": (
+        "Alphabet IoSignature RegularLanguage Word canonicalize concat_sigma_star concat_symbol_class"
+        " counterexample empty_language enumerate_words from_words is_prefix_closed is_receptive"
+        " is_subset prefix_closure sigma_star star_of word_str"
+    ),
+    "oracle": "BoundedCheckConfig CheckReport",
+    "receptive": "ReceptiveLanguage",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

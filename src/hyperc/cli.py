@@ -10,15 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import partial, reduce
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import automata, behavioral, contracts, jsonio, lang, oracle, receptive
-from .contracts import Incompatible
+from . import jsonio
 from .errors import HypercError
-from .lang import word_str
-from .receptive import ReceptiveLanguage
+
+
+def _lib(path: str):
+    """The library object at `path` ("module.name...", below hyperc), importing
+    its module on first use: a call loads only the modules its verb needs."""
+    module, *names = path.split(".")
+    return reduce(getattr, names, import_module(f"{__package__}.{module}"))
 
 
 def _symbols(arg: str | None) -> list[str]:
@@ -30,6 +35,8 @@ def _load(path: str) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise HypercError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise HypercError(f"{path}: not UTF-8 ({err})") from None
     except json.JSONDecodeError as err:
         raise HypercError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(doc, dict):
@@ -59,16 +66,17 @@ class _Outcome(NamedTuple):
 
 _VALID = _Outcome({"valid": True}, "valid\n")
 
-_DOCUMENTS: dict[type, Callable[..., dict]] = {
-    lang.RegularLanguage: jsonio.language_doc,
-    ReceptiveLanguage: jsonio.receptive_doc,
-    contracts.InterfaceHypercontract: jsonio.contract_doc,
-    automata.InterfaceAutomaton: jsonio.ia_doc,
-    behavioral.BehavioralHypercontract: jsonio.behavioral_contract_doc,
-    behavioral.AgContract: jsonio.ag_contract_doc,
-    behavioral.ConicCompset: lambda h: {"universe": h.universe.behaviors, "maximals": jsonio.compset_doc(h)},
-    behavioral.Component: lambda c: {"universe": c.universe.behaviors, "behaviors": c.behaviors()},
-    behavioral.ConvexityReport: lambda r: {"convex": r.convex, "coconvex": r.coconvex, "flat": r.flat},
+#: The canonical document of a library value, by the name of its class (no value class is imported).
+_DOCUMENTS: dict[str, Callable[..., dict]] = {
+    "RegularLanguage": jsonio.language_doc,
+    "ReceptiveLanguage": jsonio.receptive_doc,
+    "InterfaceHypercontract": jsonio.contract_doc,
+    "InterfaceAutomaton": jsonio.ia_doc,
+    "BehavioralHypercontract": jsonio.behavioral_contract_doc,
+    "AgContract": jsonio.ag_contract_doc,
+    "ConicCompset": lambda h: {"universe": h.universe.behaviors, "maximals": jsonio.compset_doc(h)},
+    "Component": lambda c: {"universe": c.universe.behaviors, "behaviors": c.behaviors()},
+    "ConvexityReport": lambda r: {"convex": r.convex, "coconvex": r.coconvex, "flat": r.flat},
 }
 
 
@@ -80,30 +88,33 @@ def _outcome(result) -> _Outcome:
         return result
     if isinstance(result, bool):
         return _Outcome(result, "true\n" if result else "false\n", 0 if result else 1)
-    doc = result if isinstance(result, dict) else _DOCUMENTS[type(result)](result)
+    doc = result if isinstance(result, dict) else _DOCUMENTS[type(result).__name__](result)
     return _Outcome(doc, "incompatible\n" if doc.get("compatible") is False else jsonio.dumps(doc))
 
 
 def _composition(result, pruned: tuple[str, ...] | None = None) -> dict:
     """A composition's document marked compatible, or `{"compatible": false}`;
     an interface-automaton composition also lists its pruned states."""
-    compatible = not isinstance(result, Incompatible)
-    doc = {**(_DOCUMENTS[type(result)](result) if compatible else {}), "compatible": compatible}
+    compatible = not isinstance(result, _lib("contracts.Incompatible"))
+    doc = {**(_DOCUMENTS[type(result).__name__](result) if compatible else {}), "compatible": compatible}
     return doc if pruned is None else {**doc, "pruned_states": list(pruned)}
 
 
-def _enumerate(value: lang.RegularLanguage, max_len: int) -> _Outcome:
+def _enumerate(value, max_len: int) -> _Outcome:
+    lang = _lib("lang")
     words = lang.enumerate_words(value, max_len)
-    return _Outcome({"words": [list(w) for w in words]}, "".join(word_str(w) + "\n" for w in words))
+    return _Outcome({"words": [list(w) for w in words]}, "".join(lang.word_str(w) + "\n" for w in words))
 
 
 def _iface_validate(c, environment, implementation):
+    contracts = _lib("contracts")
     if environment is not None:
         return contracts.is_environment(c, environment)
     return _VALID if implementation is None else contracts.is_implementation(c, implementation)
 
 
 def _oracle(kind: str, seed: int, cases: int, max_len: int, max_states: int) -> _Outcome:
+    oracle = _lib("oracle")
     cfg = oracle.BoundedCheckConfig(max_len, seed, cases, max_states)
     reports = oracle.run_all(cfg) if kind == "all" else [oracle.run_check(kind, cfg)]
     text = "".join(line + "\n" for r in reports for line in r.lines())
@@ -134,21 +145,22 @@ def _expect(named: _Named, kind: str, label: str):
     return named.value
 
 
-def _as_contract(named: _Named) -> behavioral.BehavioralHypercontract:
+def _as_contract(named: _Named):
     if named.kind == "ag":
-        return behavioral.ag_to_contract(named.value)
+        return _lib("behavioral.ag_to_contract")(named.value)
     return _expect(named, "contract", "a contract")
 
 
-def _general(op: Callable, *operands: behavioral.BehavioralHypercontract):
+def _general(op: Callable, *operands):
     """A general-mode contract operation on conic contracts, brought back to conic form."""
     env, impl = op(*((c.env.to_general(), c.impl.to_general()) for c in operands))
-    return behavioral.BehavioralHypercontract(env.maximals(), impl.maximals())
+    return _lib("behavioral.BehavioralHypercontract")(env.maximals(), impl.maximals())
 
 
 def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
     """compose, quotient, meet or join of two compsets or two contracts; the
     quotient of two components is the implication quotient."""
+    behavioral = _lib("behavioral")
     if op == "quotient" and a.kind == b.kind == "component":
         return behavioral.component_quotient(a.value, b.value)
     if a.kind == b.kind == "compset":
@@ -164,25 +176,21 @@ def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
     return _general(general_op, ca, cb)
 
 
-def _beh_pair(kind: str, same_op: Callable, contract_op: Callable | None, a: _Named, b: _Named):
+def _beh_pair(kind: str, same_op: str, contract_op: str | None, a: _Named, b: _Named, general: bool = False):
     """`same_op` on two values of `kind`, else `contract_op` on both names read
-    as contracts."""
+    as contracts; a `general` contract_op runs in the general-mode engine."""
     if a.kind == b.kind == kind:
-        return same_op(a.value, b.value)
+        return _lib(same_op)(a.value, b.value)
     if contract_op is None:
         raise HypercError("ag-compose expects two assume-guarantee contract names")
-    return contract_op(_as_contract(a), _as_contract(b))
-
-
-# The strong merge on raw hypercontracts has no closed form; it is
-# evaluated by the general-mode engine on tiny universes.
-_strong_merge = partial(_general, behavioral.strong_merge_general)
+    operands = _as_contract(a), _as_contract(b)
+    return _general(_lib(contract_op), *operands) if general else _lib(contract_op)(*operands)
 
 
 def _beh_saturated(named: _Named) -> bool:
     c = _as_contract(named)
     env = c.env.to_general()
-    return behavioral.is_saturated(env, env.compose(c.impl.to_general()))
+    return _lib("behavioral.is_saturated")(env, env.compose(c.impl.to_general()))
 
 
 # -- the verb table -------------------------------------------------------------------------
@@ -205,11 +213,13 @@ class Flag(NamedTuple):
 class Verb(NamedTuple):
     """One `group verb` subcommand.  The handler is called with the parsed
     positional documents (for a bundle, the NAME arguments resolved in it) and
-    each flag by keyword; it returns a bool, a value, a document or an `_Outcome`."""
+    each flag by keyword; it returns a bool, a value, a document or an `_Outcome`.
+    Without one, the verb runs its first operation, or on "?" documents read as
+    receptive its second."""
 
     operations: tuple[str, ...]  # the library operations it exposes
     docs: str  # the kind of each positional document
-    handler: Callable
+    handler: Callable | None = None
     flags: tuple[Flag, ...] = ()
     names: int = 0  # NAME arguments after a behavioral bundle
     exclusive: bool = False  # its flags are mutually exclusive
@@ -241,25 +251,20 @@ def _beh_lattice_verb(op: str) -> Verb:
 #: Every subcommand, in the order `--help` lists them.  Each library
 #: operation appears under exactly one verb.
 VERBS: dict[str, Verb] = {
-    "lang union": Verb(
-        ("lang.RegularLanguage.union", "receptive.join"), "??",
-        lambda a, b: receptive.join(a, b) if isinstance(a, ReceptiveLanguage) else a.union(b),
-    ),
-    "lang intersect": Verb(
-        ("lang.RegularLanguage.intersect", "receptive.meet"), "??",
-        lambda a, b: receptive.meet(a, b) if isinstance(a, ReceptiveLanguage) else a.intersect(b),
-    ),
-    "lang difference": Verb(("lang.RegularLanguage.difference",), "LL", lang.RegularLanguage.difference),
-    "lang complement": Verb(("lang.RegularLanguage.complement",), "L", lang.RegularLanguage.complement),
-    "lang concat-star": Verb(("lang.concat_sigma_star",), "L", lang.concat_sigma_star),
-    "lang prefix-closure": Verb(("lang.prefix_closure",), "L", lang.prefix_closure),
+    "lang union": Verb(("lang.RegularLanguage.union", "receptive.join"), "??"),
+    "lang intersect": Verb(("lang.RegularLanguage.intersect", "receptive.meet"), "??"),
+    "lang difference": Verb(("lang.RegularLanguage.difference",), "LL"),
+    "lang complement": Verb(("lang.RegularLanguage.complement",), "L"),
+    "lang concat-star": Verb(("lang.concat_sigma_star",), "L"),
+    "lang prefix-closure": Verb(("lang.prefix_closure",), "L"),
     "lang canon": Verb(("lang.canonicalize",), "?", lambda a: a),
-    "lang refines": Verb(("lang.is_subset",), "LL", lang.is_subset),
+    "lang refines": Verb(("lang.is_subset",), "LL"),
     "lang validate": Verb(("lang.is_prefix_closed", "lang.is_receptive"), "R", lambda a: _VALID),
-    "lang compose": Verb(("receptive.compose",), "RR", receptive.compose),
-    "lang quotient": Verb(("receptive.quotient",), "RR", receptive.quotient),
+    "lang compose": Verb(("receptive.compose",), "RR"),
+    "lang quotient": Verb(("receptive.quotient",), "RR"),
     "lang concat-class": Verb(
-        ("lang.concat_symbol_class",), "L", lambda a, gamma: lang.concat_symbol_class(a, _symbols(gamma)),
+        ("lang.concat_symbol_class",), "L",
+        lambda a, gamma: _lib("lang.concat_symbol_class")(a, _symbols(gamma)),
         (Flag("--gamma", {"required": True, "help": "comma-separated symbol class"}),),
     ),
     "lang enumerate": Verb(
@@ -267,30 +272,35 @@ VERBS: dict[str, Verb] = {
         (Flag("--max-len", {"type": int, "default": 4}, nonnegative=True),),
     ),
     "lang embed": Verb(
-        ("receptive.embed",), "R", lambda a, inputs: receptive.embed(a, _symbols(inputs)),
+        ("receptive.embed",), "R", lambda a, inputs: _lib("receptive.embed")(a, _symbols(inputs)),
         (Flag("--inputs", {"required": True, "help": "comma-separated new input set"}),),
     ),
     "lang missext": Verb(
-        ("receptive.miss_ext",), "LL", lambda a, b, gamma: receptive.miss_ext(a, b, _symbols(gamma)),
+        ("receptive.miss_ext",), "LL",
+        lambda a, b, gamma: _lib("receptive.miss_ext")(a, b, _symbols(gamma)),
         (_GAMMA,),
     ),
     "lang unc": Verb(
         ("receptive.unc",), "LL",
-        lambda a, b, gamma, delta: receptive.unc(a, b, _symbols(gamma), _symbols(delta)),
+        lambda a, b, gamma, delta: _lib("receptive.unc")(a, b, _symbols(gamma), _symbols(delta)),
         (_GAMMA, Flag("--delta", {"default": ""})),
     ),
     "lang exponential": Verb(
         ("receptive.exponential", "receptive.exponential_definitional"), "RR",
-        lambda a, b, definitional: (
-            receptive.exponential_definitional(a, b) if definitional else receptive.exponential(a, b)
-        ),
+        lambda a, b, definitional: _lib(
+            "receptive.exponential_definitional" if definitional else "receptive.exponential"
+        )(a, b),
         (Flag("--definitional", {"action": "store_true"}),),
     ),
     "iface from-s": Verb(("contracts.from_s",), "C", lambda c: c),
-    "iface compose": Verb(("contracts.compose",), "CC", lambda *cs: _composition(contracts.compose(*cs))),
-    "iface quotient": Verb(("contracts.quotient",), "CC", lambda *cs: _composition(contracts.quotient(*cs))),
-    "iface mirror": Verb(("contracts.mirror",), "C", contracts.mirror),
-    "iface refines": Verb(("contracts.refines",), "CC", contracts.refines),
+    "iface compose": Verb(
+        ("contracts.compose",), "CC", lambda *cs: _composition(_lib("contracts.compose")(*cs))
+    ),
+    "iface quotient": Verb(
+        ("contracts.quotient",), "CC", lambda *cs: _composition(_lib("contracts.quotient")(*cs))
+    ),
+    "iface mirror": Verb(("contracts.mirror",), "C"),
+    "iface refines": Verb(("contracts.refines",), "CC"),
     "iface validate": Verb(
         ("contracts.is_environment", "contracts.is_implementation"), "C", _iface_validate,
         tuple(
@@ -299,25 +309,31 @@ VERBS: dict[str, Verb] = {
         ),
         exclusive=True,
     ),
-    "ia compose": Verb(("automata.compose",), "AA", lambda *a: _composition(*automata.compose_detailed(*a))),
-    "ia refines": Verb(("automata.refines",), "AA", automata.refines),
-    "ia language": Verb(("automata.language",), "A", automata.language),
-    "ia to-contract": Verb(("automata.to_contract",), "A", automata.to_contract),
+    "ia compose": Verb(
+        ("automata.compose",), "AA", lambda *a: _composition(*_lib("automata.compose_detailed")(*a))
+    ),
+    "ia refines": Verb(("automata.refines",), "AA"),
+    "ia language": Verb(("automata.language",), "A"),
+    "ia to-contract": Verb(("automata.to_contract",), "A"),
     **{f"beh {op}": _beh_lattice_verb(op) for op in ("compose", "quotient", "meet", "join")},
     "beh refines": _beh(
         ("behavioral.ConicCompset.leq", "behavioral.contract_refines"), 2,
-        partial(_beh_pair, "compset", behavioral.ConicCompset.leq, behavioral.contract_refines),
+        partial(_beh_pair, "compset", "behavioral.ConicCompset.leq", "behavioral.contract_refines"),
     ),
     "beh merge-weak": _beh(
         ("behavioral.ag_merge_weak",), 2,
-        partial(_beh_pair, "ag", behavioral.ag_merge_weak, behavioral.contract_meet),
+        partial(_beh_pair, "ag", "behavioral.ag_merge_weak", "behavioral.contract_meet"),
     ),
+    # The strong merge on raw hypercontracts has no closed form; it is
+    # evaluated by the general-mode engine on tiny universes.
     "beh merge-strong": _beh(
         ("behavioral.ag_merge_strong", "behavioral.strong_merge_general"), 2,
-        partial(_beh_pair, "ag", behavioral.ag_merge_strong, _strong_merge),
+        partial(
+            _beh_pair, "ag", "behavioral.ag_merge_strong", "behavioral.strong_merge_general", general=True
+        ),
     ),
     "beh ag-compose": _beh(
-        ("behavioral.ag_compose",), 2, partial(_beh_pair, "ag", behavioral.ag_compose, None)
+        ("behavioral.ag_compose",), 2, partial(_beh_pair, "ag", "behavioral.ag_compose", None)
     ),
     "beh normalize": _beh(
         ("behavioral.ConicCompset.from_components",), 1, lambda h: _expect(h, "compset", "a compset")
@@ -325,11 +341,11 @@ VERBS: dict[str, Verb] = {
     "beh saturated": _beh(("behavioral.is_saturated",), 1, _beh_saturated),
     "beh convexity": _beh(
         ("behavioral.convexity",), 1,
-        lambda h: behavioral.convexity(_expect(h, "compset", "a compset").to_general()),
+        lambda h: _lib("behavioral.convexity")(_expect(h, "compset", "a compset").to_general()),
     ),
     "beh ag-contract": _beh(
         ("behavioral.ag_to_contract",), 1,
-        lambda ag: behavioral.ag_to_contract(_expect(ag, "ag", "an assume-guarantee contract")),
+        lambda ag: _lib("behavioral.ag_to_contract")(_expect(ag, "ag", "an assume-guarantee contract")),
     ),
     **{
         f"oracle {kind}": Verb(tuple(f"oracle.{fn}" for fn in fns), "", partial(_oracle, kind), _ORACLE_FLAGS)
@@ -359,15 +375,14 @@ class Command:
         self.args = args
         self.name = f"{args.group} {args.verb}"
         self.verb = VERBS[self.name]
-        self.inputs: list[dict] = []
+        self.inputs: list[tuple[str, Callable[[], dict]]] = []  # path, and the document its hash is of
 
     def read(self, kind: str, path: str, raw: dict | None = None):
-        """Parse the document at `path` as `kind` and record its hash."""
+        """Parse the document at `path` as `kind` and record it for the json echo."""
         raw = _load(path) if raw is None else raw
         parse, canonical = _KINDS[kind]
         value = parse(raw, self.args.auto_trap)
-        hashed = raw if canonical is None else canonical(value)
-        self.inputs.append({"path": path, "sha256": jsonio.doc_hash(hashed)})
+        self.inputs.append((path, (lambda: raw) if canonical is None else partial(canonical, value)))
         return value
 
     def run(self) -> tuple[str, int]:
@@ -376,24 +391,27 @@ class Command:
         for flag in verb.flags:
             if flag.nonnegative and flags[flag.dest] < 0:
                 raise HypercError(f"{flag.option} must be nonnegative, got {flags[flag.dest]}")
-        kinds, paths = verb.docs, getattr(args, "files", [])
+        kinds, paths, receptive = verb.docs, getattr(args, "files", []), False
         raws: list[dict | None] = [None] * len(paths)
         if "?" in kinds:
             raws = [_load(path) for path in paths]
-            kinds = ("R" if all("inputs" in raw for raw in raws) else "L") * len(paths)
+            receptive = all("inputs" in raw for raw in raws)
+            kinds = "LR"[receptive] * len(paths)
         values = [self.read(kind, path, raw) for kind, path, raw in zip(kinds, paths, raws)]
         if verb.names:  # the handler takes the names resolved in the behavioral bundle
             values = [_resolve(values[0], name) for name in args.names]
         for flag in verb.flags:
             if flag.doc:
                 flags[flag.dest] = self.read(flag.doc, flags[flag.dest]) if flags[flag.dest] else None
-        result = _outcome(verb.handler(*values, **flags))
+        handler = verb.handler or _lib(verb.operations[receptive])
+        result = _outcome(handler(*values, **flags))
         if args.format == "json":
             return self._wrap(result.result), result.code
         return result.text, result.code
 
     def _wrap(self, result) -> str:
-        echo = {"name": self.name, "inputs": self.inputs}
+        inputs = [{"path": path, "sha256": jsonio.doc_hash(hashed())} for path, hashed in self.inputs]
+        echo = {"name": self.name, "inputs": inputs}
         keys = ["names"] * bool(self.verb.names) + [f.dest for f in self.verb.flags if f.echo]
         extra = {k: v for k in sorted(keys) if (v := getattr(self.args, k)) is not None and v is not False}
         if extra:
@@ -401,7 +419,10 @@ class Command:
         return jsonio.dumps({"operation": echo, "result": result})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """Every group parser, but the verb parsers only of the groups named in
+    `argv` (of all groups if it is None): argparse enters no other group, so
+    no usage, help or error text depends on the ones left out."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", help="write the result to this file")
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -418,6 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for key, verb in VERBS.items():
         group, name = key.split()
+        if argv is not None and group not in argv:
+            continue
         sp = verbs[group].add_parser(name, parents=[common])
         if verb.docs:
             sp.add_argument("files", nargs=len(verb.docs), metavar="DOC")
@@ -430,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         payload, code = Command(args).run()
         if args.output:

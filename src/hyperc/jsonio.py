@@ -7,22 +7,20 @@ inputs always serialize to identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .automata import InterfaceAutomaton, make
-from .behavioral import (
-    AgContract,
-    BehavioralHypercontract,
-    Component,
-    ConicCompset,
-    Universe,
-)
-from .contracts import InterfaceHypercontract
 from .errors import DocumentError, HypercError
-from .lang import Alphabet, IoSignature, RegularLanguage
-from .receptive import ReceptiveLanguage
+
+# Each parser imports the value modules it builds when it runs, so that reading
+# one kind of document loads none of the others' modules.
+if TYPE_CHECKING:
+    from .automata import InterfaceAutomaton
+    from .behavioral import AgContract, BehavioralHypercontract, Component, ConicCompset, Universe
+    from .contracts import InterfaceHypercontract
+    from .lang import Alphabet, IoSignature, RegularLanguage
+    from .receptive import ReceptiveLanguage
 
 
 def dumps(doc: dict) -> str:
@@ -30,6 +28,8 @@ def dumps(doc: dict) -> str:
 
 
 def doc_hash(doc: dict) -> str:
+    import hashlib
+
     return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
 
 
@@ -53,6 +53,8 @@ def _string_list(doc: dict, key: str, what: str) -> list[str]:
 
 
 def parse_alphabet(doc: dict, what: str = "language") -> Alphabet:
+    from .lang import Alphabet
+
     try:
         return Alphabet(tuple(_string_list(doc, "alphabet", what)))
     except HypercError as err:
@@ -91,6 +93,8 @@ def _rows(doc: dict, alphabet: Alphabet, pos: dict[str, int], what: str) -> list
 
 
 def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
+    from .lang import RegularLanguage
+
     alphabet = parse_alphabet(doc)
     states, pos, initial = _states(doc, "language")
     accepting = _string_list(doc, "accepting", "language")
@@ -133,6 +137,9 @@ def _inputs_of(doc: dict, alphabet: Alphabet, what: str) -> frozenset[str]:
 
 
 def parse_receptive(doc: dict, auto_trap: bool = True) -> ReceptiveLanguage:
+    from .lang import IoSignature
+    from .receptive import ReceptiveLanguage
+
     lang = parse_language(doc, auto_trap)
     io = IoSignature(lang.alphabet, _inputs_of(doc, lang.alphabet, "receptive language"))
     return ReceptiveLanguage(lang, io)
@@ -152,6 +159,9 @@ def receptive_doc(r: ReceptiveLanguage) -> dict:
 
 
 def parse_contract(doc: dict, auto_trap: bool = True) -> InterfaceHypercontract:
+    from .contracts import InterfaceHypercontract
+    from .lang import IoSignature
+
     s_doc = _require(doc, "S", dict, "contract")
     s = parse_language(s_doc, auto_trap)
     io = IoSignature(s.alphabet, _inputs_of(doc, s.alphabet, "contract"))
@@ -173,6 +183,9 @@ def contract_doc(c: InterfaceHypercontract, derived: bool = True) -> dict:
 
 
 def parse_ia(doc: dict) -> InterfaceAutomaton:
+    from .automata import make
+    from .lang import IoSignature
+
     what = "interface automaton"
     alphabet = parse_alphabet(doc, what)
     io = IoSignature(alphabet, _inputs_of(doc, alphabet, what))
@@ -221,6 +234,8 @@ class BehavioralDocument:
 
 
 def _component_from(doc: BehavioralDocument, ref, what: str) -> Component:
+    from .behavioral import Component
+
     if isinstance(ref, str):
         if ref not in doc.components:
             raise DocumentError(f"{what} references unknown component {ref!r}")
@@ -234,6 +249,8 @@ def _component_from(doc: BehavioralDocument, ref, what: str) -> Component:
 
 
 def _compset_from(doc: BehavioralDocument, ref, what: str) -> ConicCompset:
+    from .behavioral import ConicCompset
+
     if isinstance(ref, str):
         if ref not in doc.compsets:
             raise DocumentError(f"{what} references unknown compset {ref!r}")
@@ -254,6 +271,8 @@ def _section(raw: dict, key: str) -> dict:
 
 
 def parse_behavioral(raw: dict) -> BehavioralDocument:
+    from .behavioral import AgContract, BehavioralHypercontract, ConicCompset, Universe
+
     if not isinstance(raw, dict):
         raise DocumentError("behavioral document must be a JSON object")
     try:

@@ -51,7 +51,9 @@ class BoundedCheckConfig:
 
     def __post_init__(self):
         if not 0 <= self.max_word_len <= MAX_WORD_LEN:
-            raise LimitExceeded(f"max_word_len must lie in [0, {MAX_WORD_LEN}]")
+            raise LimitExceeded(
+                f"max_word_len (--max-len) must lie in [0, {MAX_WORD_LEN}], got {self.max_word_len}"
+            )
         if self.num_cases < 0:
             raise ValidationError(f"num_cases (--cases) must be nonnegative, got {self.num_cases}")
         if self.max_states < 1:

@@ -320,6 +320,13 @@ class TestErrors:
         code, _, err = run(capsys, "beh", "normalize", str(doc), "x")
         assert code == 2 and f"'{section}' must be a JSON object" in err
 
+    def test_document_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        code, out, err = run(capsys, "lang", "canon", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 (") and err.count("\n") == 1
+
     def test_negative_max_len(self, capsys):
         code, out, err = run(capsys, "lang", "enumerate", fx("istar.json"), "--max-len", "-1")
         assert (code, out, err) == (2, "", "error: --max-len must be nonnegative, got -1\n")
@@ -329,6 +336,7 @@ class TestErrors:
         [
             (("all", "--cases", "-1"), "num_cases (--cases) must be nonnegative, got -1"),
             (("unc", "--cases", "2", "--max-states", "0"), "max_states (--max-states) must be at least 1, got 0"),
+            (("all", "--max-len", "9"), "max_word_len (--max-len) must lie in [0, 8], got 9"),
             (
                 ("missext", "--cases", "1", "--max-states", "10001"),
                 "max_states (--max-states) must be at most the state cap 10000, got 10001",
@@ -452,15 +460,47 @@ class TestCommandTable:
                 target = getattr(target, name)
             assert callable(target), entry
 
-    def test_table_matches_registered_subcommands(self):
-        parser = build_parser()
+    @staticmethod
+    def registered(parser) -> list[str]:
+        """The `group verb` subcommands a parser has built, in order."""
         groups = parser._subparsers._group_actions[0].choices  # noqa: SLF001
         registered = []
         for group_name, group_parser in groups.items():
             verbs = group_parser._subparsers._group_actions[0].choices  # noqa: SLF001
             registered.extend(f"{group_name} {verb}" for verb in verbs)
-        assert registered == list(VERBS)
+        return registered
+
+    def test_table_matches_registered_subcommands(self):
+        assert self.registered(build_parser()) == list(VERBS)
         assert {name for name, verb in VERBS.items() if not verb.operations} == {"oracle all"}
+
+    def test_parser_builds_only_the_named_groups_verbs(self):
+        parser = build_parser(["iface", "compose", "a.json", "b.json"])
+        assert self.registered(parser) == [name for name in VERBS if name.startswith("iface ")]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["nope"],
+            ["lang"],
+            ["lang", "nope"],
+            ["iface", "compose", "a.json"],
+            ["ia", "refines", "--help"],
+            ["beh", "compose", "beh.json", "h12", "htop", "--format", "xml"],
+            ["oracle", "all", "--max-len", "x"],
+            ["oracle", "all", "extra"],
+        ],
+    )
+    def test_usage_and_help_match_the_full_parser(self, capsys, argv):
+        """A parser built for argv prints what the parser of every verb prints."""
+        outcomes = []
+        for parser in (build_parser(argv), build_parser()):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(argv)
+            outcomes.append((exit_info.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
     def test_readme_lists_the_registered_verbs(self):
         text = README.read_text(encoding="utf-8")

@@ -4,12 +4,13 @@
 its outcome.  Each call runs `python -m hyperc` from `tests/data` with bare
 file names, so the paths echoed by `--format json` do not depend on where the
 checkout lives.  A change that alters any byte of any of these outputs fails
-the comparison.
+the comparison.  The `--help` texts are pinned too, once per Python minor
+version, since argparse words and wraps help differently between versions.
 
 The module needs only the standard library, so it also runs without pytest:
 
     PYTHONPATH=src python tests/test_cli_golden.py            # compare
-    PYTHONPATH=src python tests/test_cli_golden.py --record   # rewrite the file
+    PYTHONPATH=src python tests/test_cli_golden.py --record   # rewrite this version's digests
 """
 
 from __future__ import annotations
@@ -52,16 +53,36 @@ EXTRA_CALLS: tuple[tuple[str, ...], ...] = (
     ("beh", "quotient", "beh.json", "cmix", "ctop", "--general"),
 )
 
+#: Help texts: the top level, each group and one verb per group.
+HELP_CALLS: tuple[tuple[str, ...], ...] = (
+    ("--help",),
+    *((group, "--help") for group in ("lang", "iface", "ia", "beh", "oracle")),
+    *(
+        (*verb.split(), "--help")
+        for verb in ("lang unc", "iface validate", "ia compose", "beh quotient", "oracle all")
+    ),
+)
+
 
 def golden_argvs() -> list[tuple[str, ...]]:
     return [
         (*argv, "--format", fmt) for argv in (*CLI_CORPUS, *EXTRA_CALLS) for fmt in ("text", "json")
-    ]
+    ] + list(HELP_CALLS)
+
+
+#: argparse words and wraps help differently from one Python minor version to
+#: the next, so a help key names the version its digest was recorded with.
+VERSION_TAG = f" (Python {sys.version_info[0]}.{sys.version_info[1]})"
+
+
+def golden_key(argv: tuple[str, ...]) -> str:
+    return shlex.join(argv) + (VERSION_TAG if argv[-1] == "--help" else "")
 
 
 def outcome_digest(argv: tuple[str, ...]) -> str:
     env = {k: v for k, v in os.environ.items() if k not in ("HYPERC_MAX_STATES", "PYTHONPATH")}
     env["PYTHONPATH"] = str(SRC)
+    env["COLUMNS"] = "80"  # argparse's own fallback for a pipe: a terminal's width must not wrap help
     proc = subprocess.run(
         [sys.executable, "-m", "hyperc", *argv], cwd=DATA, env=env, capture_output=True, check=False
     )
@@ -70,24 +91,32 @@ def outcome_digest(argv: tuple[str, ...]) -> str:
 
 
 def current_digests() -> dict[str, str]:
-    return {shlex.join(argv): outcome_digest(argv) for argv in golden_argvs()}
+    return {golden_key(argv): outcome_digest(argv) for argv in golden_argvs()}
+
+
+def golden_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """The recorded digests this Python version checks, and the help digests of other versions."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    other = {k for k in golden if " (Python " in k and not k.endswith(VERSION_TAG)}
+    return {k: v for k, v in golden.items() if k not in other}, {k: golden[k] for k in other}
 
 
 def test_cli_outputs_match_golden_digests():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden, _ = golden_digests()
     current = current_digests()
-    assert sorted(current) == sorted(golden)
+    assert sorted(current) == sorted(golden), "help texts not recorded for this Python version?"
     changed = [key for key in golden if current[key] != golden[key]]
     assert not changed, f"{len(changed)} calls changed output, first: {changed[:5]}"
 
 
 def main(argv: list[str]) -> int:
     current = current_digests()
+    golden, other = golden_digests()
     if argv == ["--record"]:
-        GOLDEN.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"recorded {len(current)} digests")
+        recorded = {**other, **current}
+        GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {len(current)} digests on Python {sys.version.split()[0]}")
         return 0
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     changed = sorted(set(golden) ^ set(current)) + [
         key for key in golden if key in current and current[key] != golden[key]
     ]
