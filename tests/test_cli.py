@@ -336,11 +336,11 @@ class TestErrors:
         [
             (("all", "--cases", "-1"), "num_cases (--cases) must be nonnegative, got -1"),
             (("unc", "--cases", "2", "--max-states", "0"), "max_states (--max-states) must be at least 1, got 0"),
-            (("all", "--max-len", "9"), "max_word_len (--max-len) must lie in [0, 8], got 9"),
             (
                 ("missext", "--cases", "1", "--max-states", "10001"),
                 "max_states (--max-states) must be at most the state cap 10000, got 10001",
             ),
+            (("all", "--max-len", "9"), "max_word_len (--max-len) must lie in [0, 8], got 9"),
         ],
     )
     def test_oracle_numeric_flags(self, capsys, flags, message):
