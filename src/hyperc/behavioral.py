@@ -101,10 +101,6 @@ class Component:
     def complement(self) -> "Component":
         return Component(self.universe, self.universe.full_mask & ~self.mask)
 
-    def issubset(self, other: "Component") -> bool:
-        _check_universe(self, other)
-        return self.mask & ~other.mask == 0
-
 
 def component_quotient(c: Component, c2: Component) -> Component:
     """Largest x with c2 ∩ x ⊆ c, namely the implication ¬c2 ∪ c."""
@@ -373,9 +369,6 @@ class BehavioralHypercontract:
     @property
     def universe(self) -> Universe:
         return self.env.universe
-
-    def is_compatible(self) -> bool:
-        return not self.env.is_empty()
 
     def is_consistent(self) -> bool:
         return not self.impl.is_empty()

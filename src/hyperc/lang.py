@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch
@@ -183,8 +184,7 @@ class RegularLanguage:
         return self.run(tuple(word)) in self.accepting
 
     def is_empty(self) -> bool:
-        c = self.canonical()
-        return not c.accepting
+        return not self.canonical().accepting
 
     def shortest_member(self) -> Word | None:
         """Shortest accepted word (lexicographically least among ties)."""
@@ -197,8 +197,7 @@ class RegularLanguage:
         if cached is None:
             cached = _canonicalize(self)
             object.__setattr__(self, "_canon", cached)
-            object.__setattr__(cached, "_canon", cached)
-        return cached
+        return self if cached is True else cached
 
     def canonical_key(self) -> tuple:
         c = self.canonical()
@@ -223,8 +222,10 @@ class RegularLanguage:
     # -- boolean algebra ----------------------------------------------------
 
     def complement(self) -> "RegularLanguage":
-        flipped = frozenset(range(self.n_states)) - self.accepting
-        return RegularLanguage._trusted(self.alphabet, self.initial, flipped, self.delta).canonical()
+        """Flipping F keeps the canonical form minimal and its numbering canonical."""
+        c = self.canonical()
+        flipped = frozenset(range(c.n_states)) - c.accepting
+        return _as_canonical(RegularLanguage._trusted(c.alphabet, 0, flipped, c.delta))
 
     def union(self, other: "RegularLanguage") -> "RegularLanguage":
         return _binary(self, other, lambda a, b: a or b, "union")
@@ -240,13 +241,11 @@ class RegularLanguage:
 
 
 def empty_language(alphabet: Alphabet) -> RegularLanguage:
-    n = len(alphabet)
-    return RegularLanguage._trusted(alphabet, 0, frozenset(), ((0,) * n,)).canonical()
+    return _as_canonical(RegularLanguage._trusted(alphabet, 0, frozenset(), ((0,) * len(alphabet),)))
 
 
 def sigma_star(alphabet: Alphabet) -> RegularLanguage:
-    n = len(alphabet)
-    return RegularLanguage._trusted(alphabet, 0, frozenset({0}), ((0,) * n,)).canonical()
+    return _as_canonical(RegularLanguage._trusted(alphabet, 0, frozenset({0}), ((0,) * len(alphabet),)))
 
 
 def star_of(alphabet: Alphabet, symbols: Iterable[str]) -> RegularLanguage:
@@ -259,13 +258,9 @@ def star_of(alphabet: Alphabet, symbols: Iterable[str]) -> RegularLanguage:
 
 def from_words(alphabet: Alphabet, words: Iterable[Word]) -> RegularLanguage:
     """The finite language consisting of exactly the given words (as a trie)."""
-    norm = [tuple(w) for w in words]
-    for w in norm:
-        for s in w:
-            alphabet.index(s)
     children: list[dict[int, int]] = [{}]
     accepting: set[int] = set()
-    for w in norm:
+    for w in words:
         q = 0
         for s in w:
             k = alphabet.index(s)
@@ -289,44 +284,50 @@ def canonicalize(lang: RegularLanguage) -> RegularLanguage:
     return lang.canonical()
 
 
-def _canonicalize(lang: RegularLanguage) -> RegularLanguage:
+def _canonicalize(lang: RegularLanguage, *, explored: bool = False) -> RegularLanguage:
     """Minimal complete DFA by column-wise Moore refinement.
 
-    The reachable part is renumbered densely in discovery order and its
-    transitions are stored as one successor list per symbol.  Each round
-    splits every block by the signature (own block, successor block per
-    symbol) and costs O(k·n) for k symbols and n reachable states; refinement
-    stops when the block count stops growing or reaches n.  The number of
-    rounds is bounded by n but small in practice: over one pass of the
-    benchmark's lang-large workload (777 canonicalizations of about 716k
-    reachable states in all) it is 4 at the median and at most 12.
+    `explored=True` is only for automata that `_explore` built and nothing
+    edited after (reachable, numbered breadth-first in symbol order from 0),
+    from `_binary`, `concat_symbol_class` and `concat_sigma_star`: the
+    breadth-first renumbering is skipped, and a discrete partition returns the
+    input.  Edges redirected after exploring (`receptive._marked_product`,
+    `automata.language`, `receptive.exponential_definitional`), `complement`
+    and jsonio or public-constructor input take the general path.
+
+    Each O(k·n) round splits blocks by (own block, successor block per
+    symbol), gathered by one `itemgetter` per column; a block's id is the
+    index of its first state.  Rounds stop when the block count stops growing
+    or reaches n: over one seed-1 lang-large pass (669 calls) after 3 at the
+    median and 12 at most.  185 of its 225 boolean results are minimal as built.
     """
     delta = lang.delta
-    # Dense renumbering of the reachable part, in discovery order.
-    order = [lang.initial]
-    num = {lang.initial: 0}
-    for q in order:
-        for t in delta[q]:
-            if t not in num:
-                num[t] = len(order)
-                order.append(t)
+    # Not zip(*delta): its one GC-tracked iterator per state set off full collections.
+    cols = [list(map(itemgetter(k), delta)) for k in range(len(lang.alphabet))]
+    order = range(len(delta))
+    if not explored:
+        order, num = [lang.initial], {lang.initial: 0}
+        for q in order:
+            for t in delta[q]:
+                if t not in num:
+                    num[t] = len(order)
+                    order.append(t)
+        cols = [list(map(num.__getitem__, map(col.__getitem__, order))) for col in cols]
     n = len(order)
-    cols = [[num[delta[q][k]] for q in order] for k in range(len(lang.alphabet))]
     block = [1 if q in lang.accepting else 0 for q in order]
     nblocks = len(set(block))
+    gets = [itemgetter(*col) for col in cols]
     while nblocks < n:
-        sigs: dict[tuple, int] = {}
-        block = [
-            sigs.setdefault(sig, len(sigs))
-            for sig in zip(block, *[[block[t] for t in col] for col in cols])
-        ]
-        if len(sigs) == nblocks:
+        ids: dict[tuple, int] = {}
+        block = list(map(ids.setdefault, zip(block, *[get(block) for get in gets]), range(n)))
+        if len(ids) == nblocks:
             break
-        nblocks = len(sigs)
-    # The stable partition is a congruence, so any member represents its block.
+        nblocks = len(ids)
+    if explored and nblocks == n:
+        return _as_canonical(lang)
+    # The stable partition is a congruence, so any member represents its block;
+    # BFS over blocks fixes the canonical numbering, reps[j] the block numbered j.
     rep = dict(zip(block, range(n)))
-    # BFS over blocks fixes the canonical numbering; reps[j] represents the
-    # block numbered j.
     idx = {block[0]: 0}
     reps = [rep[block[0]]]
     for i in reps:
@@ -338,7 +339,13 @@ def _canonicalize(lang: RegularLanguage) -> RegularLanguage:
     rows = tuple(zip(*[[idx[block[col[i]]] for i in reps] for col in cols]))
     # Numbers taken from idx are the int objects the rows already hold.
     accepting = frozenset(j for b, j in idx.items() if order[rep[b]] in lang.accepting)
-    return RegularLanguage._trusted(lang.alphabet, 0, accepting, rows)
+    return _as_canonical(RegularLanguage._trusted(lang.alphabet, 0, accepting, rows))
+
+
+def _as_canonical(lang: RegularLanguage) -> RegularLanguage:
+    """Mark `lang` as its own canonical form: a flag, as a self-reference is a cycle."""
+    object.__setattr__(lang, "_canon", True)
+    return lang
 
 
 # -- products ---------------------------------------------------------------
@@ -398,7 +405,7 @@ def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable, op: str) -> 
     accepting = frozenset(
         i for i, (q, r) in enumerate(pairs) if keep(q in a.accepting, r in b.accepting)
     )
-    return RegularLanguage._trusted(a.alphabet, 0, accepting, tuple(rows)).canonical()
+    return _canonicalize(RegularLanguage._trusted(a.alphabet, 0, accepting, tuple(rows)), explored=True)
 
 
 # -- concatenation-shaped operators ------------------------------------------
@@ -417,7 +424,7 @@ def concat_symbol_class(lang: RegularLanguage, symbols: Iterable[str]) -> Regula
         "symbol-class concatenation", (lang.n_states,),
     )
     flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
-    return RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)).canonical()
+    return _canonicalize(RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)), explored=True)
 
 
 def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
@@ -430,7 +437,7 @@ def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
         "Σ* concatenation", (lang.n_states,),
     )
     flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
-    return RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)).canonical()
+    return _canonicalize(RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)), explored=True)
 
 
 def close_backward(rows: Sequence[Sequence], seeds: Iterable[int], labels: Iterable[int]) -> set[int]:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import hyperc.lang
@@ -36,7 +38,7 @@ from hyperc.lang import (
     state_cap,
     word_str,
 )
-from hyperc.receptive import ReceptiveLanguage
+from hyperc.receptive import ReceptiveLanguage, miss_ext
 
 
 @st.composite
@@ -78,9 +80,9 @@ def raw_dfas(draw, alphabet: Alphabet, max_states: int = 40) -> RegularLanguage:
 
 
 @st.composite
-def raw_dfa_pairs(draw) -> tuple[RegularLanguage, RegularLanguage]:
+def raw_dfa_pairs(draw, max_states: int = 40) -> tuple[RegularLanguage, RegularLanguage]:
     alphabet = draw(st.sampled_from(ALPHABETS))
-    return draw(raw_dfas(alphabet)), draw(raw_dfas(alphabet))
+    return draw(raw_dfas(alphabet, max_states)), draw(raw_dfas(alphabet, max_states))
 
 
 @st.composite
@@ -396,6 +398,134 @@ class TestCanonical:
         empty = RegularLanguage(alphabet, 2, frozenset(), ((1,) * k, (2,) * k, (0,) * k))
         c = _canonicalize(empty)
         assert (c.accepting, c.delta) == reference_moore(empty) == (frozenset(), ((0,) * k,))
+
+
+def raw_product(a: RegularLanguage, b: RegularLanguage, keep) -> RegularLanguage:
+    """The full n1·n2 product table, pair (q, r) numbered q·n2 + r, with no
+    reachability or numbering work: the reference input of a boolean op."""
+    n2 = b.n_states
+    delta = [[t * n2 + u for t, u in zip(a.delta[q], b.delta[r])] for q in range(a.n_states) for r in range(n2)]
+    accepting = {q * n2 + r for q in range(a.n_states) for r in range(n2) if keep(q in a.accepting, r in b.accepting)}
+    return RegularLanguage(a.alphabet, a.initial * n2 + b.initial, accepting, delta)
+
+
+def raw_flagged(lang: RegularLanguage, start_flag: bool, step) -> RegularLanguage:
+    """States (q, flag) numbered 2q + flag, accepting when flagged, starting
+    at (initial, start_flag); step(q, k, t, flag) is the flag after q's k-edge
+    to t."""
+    delta = [
+        [2 * t + step(q, k, t, flag) for k, t in enumerate(lang.delta[q])]
+        for q in range(lang.n_states)
+        for flag in (False, True)
+    ]
+    return RegularLanguage(lang.alphabet, 2 * lang.initial + start_flag, range(1, 2 * lang.n_states, 2), delta)
+
+
+def explored_cases(a: RegularLanguage, b: RegularLanguage, gamma: frozenset[str]):
+    """(op, its result through the explored entry, the same raw automaton built here)."""
+    keeps = {"union": lambda x, y: x or y, "intersect": lambda x, y: x and y, "difference": lambda x, y: x and not y}
+    for kind, keep in keeps.items():
+        yield kind, getattr(a, kind)(b), raw_product(a, b, keep)
+    in_class = [s in gamma for s in a.alphabet.symbols]
+    yield "concat_symbol_class", concat_symbol_class(a, gamma), raw_flagged(
+        a, False, lambda q, k, t, flag: q in a.accepting and in_class[k]
+    )
+    yield "concat_sigma_star", concat_sigma_star(a), raw_flagged(
+        a, a.initial in a.accepting, lambda q, k, t, flag: flag or t in a.accepting
+    )
+
+
+class TestExploredEntry:
+    """The explored entry of `_canonicalize` (products numbered by `_explore`)
+    must give exactly what reference Moore refinement gives on the same raw
+    automaton, built here independently of `_explore`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=raw_dfa_pairs(max_states=10), data=st.data())
+    def test_matches_reference_moore(self, pair, data):
+        a, b = pair
+        gamma = frozenset(data.draw(st.sets(st.sampled_from(a.alphabet.symbols))))
+        for kind, result, raw in explored_cases(a, b, gamma):
+            assert result.initial == 0, kind
+            assert (result.accepting, result.delta) == reference_moore(raw), kind
+            assert result.canonical() is result, kind
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
+    def test_one_state_results(self, alphabet):
+        # One state: itemgetter of one index returns a scalar, not a tuple.
+        top, empty = sigma_star(alphabet), empty_language(alphabet)
+        gamma = frozenset(alphabet.symbols[:1])
+        for a, b in ((top, top), (empty, empty), (top, empty)):
+            for kind, result, raw in explored_cases(a, b, gamma):
+                assert (result.accepting, result.delta) == reference_moore(raw), kind
+        assert top.intersect(top).n_states == empty.union(empty).n_states == 1
+        assert concat_sigma_star(empty).n_states == concat_symbol_class(empty, gamma).n_states == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=raw_dfas(AB3, max_states=12))
+    def test_complement_matches_reference_moore(self, a):
+        c = a.complement()
+        flipped = RegularLanguage(a.alphabet, a.initial, frozenset(range(a.n_states)) - a.accepting, a.delta)
+        assert c.initial == 0
+        assert (c.accepting, c.delta) == reference_moore(flipped)
+        assert c.canonical() is c
+
+    def test_canonical_forms_are_not_reference_cycles(self):
+        # A canonical form is marked by a flag, not by a self-reference, so
+        # reference counting frees it without waiting for the cyclic collector.
+        def made():
+            a, b = star_of(AB3, "a"), from_words(AB3, [("a", "b"), ("c",)])
+            return [
+                a,  # the general path, through canonical()
+                a.union(a),  # explored, discrete: the product itself
+                a.intersect(a.complement()),  # explored, rebuilt
+                a.union(b),
+                b.complement(),
+                concat_sigma_star(b),
+                empty_language(AB3),
+                sigma_star(AB3),
+            ]
+
+        gc.disable()
+        try:
+            gc.collect()
+            refs = [weakref.ref(x) for x in made()]
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_non_bfs_input_is_caught(self, monkeypatch):
+        """Mutants: a caller that claims the entry for a state-permuted product,
+        or for `_marked_product`'s raw automaton with its ⊤/⊥ redirects, must
+        give a result that differs from reference_moore on some drawn case."""
+
+        def permuted(a, b, gamma):
+            pairs, rows = product_map(a, b)
+            n = len(rows)
+            perm = [0] + list(range(n - 1, 0, -1))
+            delta = [None] * n
+            for i, row in enumerate(rows):
+                delta[perm[i]] = tuple(perm[t] for t in row)
+            accepting = frozenset(perm[i] for i, (q, r) in enumerate(pairs) if q in a.accepting)
+            return RegularLanguage(a.alphabet, 0, accepting, delta)
+
+        def marked(a, b, gamma):
+            with monkeypatch.context() as m:
+                m.setattr(RegularLanguage, "canonical", lambda self: self)
+                return miss_ext(a, b, gamma)
+
+        cases = st.tuples(raw_dfa_pairs(max_states=10), st.sets(st.sampled_from("abcd")))
+        for mutant in (permuted, marked):
+
+            def caught(case, mutant=mutant):
+                (a, b), gamma = case
+                raw = mutant(a, b, gamma & set(a.alphabet.symbols))
+                c = _canonicalize(raw, explored=True)
+                return (c.accepting, c.delta) != reference_moore(raw)
+
+            # No shrinking: any case found is enough.
+            quick = settings(max_examples=500, database=None, derandomize=True, phases=[Phase.generate])
+            find(cases, caught, settings=quick)
 
 
 class TestCounterexample:
