@@ -96,10 +96,19 @@ def to_contract(a: InterfaceAutomaton) -> InterfaceHypercontract:
     return InterfaceHypercontract._trusted(language(a), a.io)
 
 
+def _joint_moves(a1: InterfaceAutomaton, a2: InterfaceAutomaton):
+    """Successors of a state pair: a symbol moves the pair where both sides enable it."""
+    t1s, t2s = a1.trans, a2.trans
+    return lambda pair: [
+        None if t1 is None or t2 is None else (t1, t2) for t1, t2 in zip(t1s[pair[0]], t2s[pair[1]])
+    ]
+
+
 def refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
     """Alternating simulation: a2 matches a1's outputs and a1 matches a2's inputs.
-    Both are deterministic, so it holds at the initial pair exactly when no locally
-    failing pair is reachable over the obligation edges; the search stops at one."""
+    Both are deterministic, so it holds at the initial pair exactly when no pair
+    where the leader moves and the follower cannot (a1 leads on outputs, a2 on
+    inputs) is reachable over the moves both enable; the search stops at one."""
     if a1.io != a2.io:
         raise SignatureMismatch("refinement needs identical io signatures")
     n1, n2 = a1.n_states, a2.n_states
@@ -109,19 +118,19 @@ def refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
             f"refinement relation of {n1}×{n2} pairs exceeds state cap {cap} (HYPERC_MAX_STATES)"
         )
     is_input = [s in a1.io.inputs for s in a1.io.alphabet.symbols]
-    seen = {(a1.initial, a2.initial)}
-    stack = list(seen)
-    while stack:
-        q1, q2 = stack.pop()
-        for pair, is_in in zip(zip(a1.trans[q1], a2.trans[q2]), is_input):
+    t1s, t2s = a1.trans, a2.trans
+
+    def stuck(pair) -> bool:
+        for t1, t2, is_in in zip(t1s[pair[0]], t2s[pair[1]], is_input):
             # a1 leads on outputs and a2 on inputs; the other side must follow.
-            lead, follow = pair[::-1] if is_in else pair
-            if lead is not None and pair not in seen:
-                if follow is None:
-                    return False
-                seen.add(pair)
-                stack.append(pair)
-    return True
+            if (t2 if is_in else t1) is not None and (t1 if is_in else t2) is None:
+                return True
+        return False
+
+    pairs, rows = _explore(
+        (a1.initial, a2.initial), _joint_moves(a1, a2), "interface-automaton refinement", (n1, n2), stop=stuck
+    )
+    return len(rows) == len(pairs)
 
 
 def compose_detailed(
@@ -140,14 +149,7 @@ def compose_detailed(
     # Reachable product; a symbol is enabled where both sides enable it.
     t1s, t2s = a1.trans, a2.trans
     label = ("interface-automaton composition", (a1.n_states, a2.n_states))
-    pairs, rows = _explore(
-        (a1.initial, a2.initial),
-        lambda pair: [
-            None if t1 is None or t2 is None else (t1, t2)
-            for t1, t2 in zip(t1s[pair[0]], t2s[pair[1]])
-        ],
-        *label,
-    )
+    pairs, rows = _explore((a1.initial, a2.initial), _joint_moves(a1, a2), *label)
 
     def pair_name(i: int) -> str:
         q1, q2 = pairs[i]

@@ -4,7 +4,8 @@ Components are bitsets over an ordered universe of at most 64 behaviors;
 composition of components is intersection and the component quotient is
 implication.  Compsets come in two representations: explicit sets of
 components (general mode, universes of at most 8 behaviors) and conic
-form (the antichain of maximal components of a downward-closed compset).
+form (the antichain of maximal components of a downward-closed compset);
+the contract operations run on hypercontracts over either.
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ class GeneralCompset:
     def from_components(cls, universe: Universe, components: Iterable[Component | int]) -> "GeneralCompset":
         return cls(universe, frozenset(c.mask if isinstance(c, Component) else c for c in components))
 
+    def is_empty(self) -> bool:
+        return not self.members
+
     def contains(self, c: Component | int) -> bool:
         m = c.mask if isinstance(c, Component) else c
         return m in self.members
@@ -358,13 +362,16 @@ def is_saturated(env: GeneralCompset, closed: GeneralCompset) -> bool:
 
 @dataclass(frozen=True)
 class BehavioralHypercontract:
-    """Pair (environments, implementations) of conic compsets."""
+    """Pair (environments, implementations) of compsets, both conic or both
+    general: the contract_* operations below run on either representation."""
 
-    env: ConicCompset
-    impl: ConicCompset
+    env: ConicCompset | GeneralCompset
+    impl: ConicCompset | GeneralCompset
 
     def __post_init__(self):
         _check_universe(self.env, self.impl)
+        if type(self.env) is not type(self.impl):
+            raise ValueError("environments and implementations must share one compset representation")
 
     @property
     def universe(self) -> Universe:
@@ -404,39 +411,12 @@ def contract_join(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> Be
     return BehavioralHypercontract(c.env.meet(c2.env), c.impl.join(c2.impl))
 
 
-# -- general-mode contract pairs (used by the oracle and the strong merge) -------
-
-
-GeneralContract = tuple[GeneralCompset, GeneralCompset]
-
-
-def general_contract_compose(c: GeneralContract, c2: GeneralContract) -> GeneralContract:
-    (e, i), (e2, i2) = c, c2
-    return e.quotient(i2).meet(e2.quotient(i)), i.compose(i2)
-
-
-def general_contract_meet(c: GeneralContract, c2: GeneralContract) -> GeneralContract:
-    (e, i), (e2, i2) = c, c2
-    return e.join(e2), i.meet(i2)
-
-
-def general_contract_join(c: GeneralContract, c2: GeneralContract) -> GeneralContract:
-    (e, i), (e2, i2) = c, c2
-    return e.meet(e2), i.join(i2)
-
-
-def general_contract_mirror(c: GeneralContract) -> GeneralContract:
-    e, i = c
-    return i, e
-
-
-def strong_merge_general(c: GeneralContract, c2: GeneralContract) -> GeneralContract:
-    """Strong merge in general mode: environments shared by both viewpoints,
-    closed systems conjoined, implementations re-derived by quotient."""
-    (e, i), (e2, i2) = c, c2
-    env = e.meet(e2)
-    closed = e.compose(i).meet(e2.compose(i2))
-    return env, closed.quotient(env)
+def strong_merge_general(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
+    """Strong merge: environments shared by both viewpoints, closed systems
+    conjoined, implementations re-derived by quotient."""
+    env = c.env.meet(c2.env)
+    closed = c.env.compose(c.impl).meet(c2.env.compose(c2.impl))
+    return BehavioralHypercontract(env, closed.quotient(env))
 
 
 # -- the assume-guarantee bridge ---------------------------------------------------

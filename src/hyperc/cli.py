@@ -152,9 +152,10 @@ def _as_contract(named: _Named):
 
 
 def _general(op: Callable, *operands):
-    """A general-mode contract operation on conic contracts, brought back to conic form."""
-    env, impl = op(*((c.env.to_general(), c.impl.to_general()) for c in operands))
-    return _lib("behavioral.BehavioralHypercontract")(env.maximals(), impl.maximals())
+    """A contract operation run on the general (explicit) form of conic contracts, brought back to conic form."""
+    contract = _lib("behavioral.BehavioralHypercontract")
+    result = op(*(contract(c.env.to_general(), c.impl.to_general()) for c in operands))
+    return contract(result.env.maximals(), result.impl.maximals())
 
 
 def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
@@ -168,12 +169,10 @@ def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
             return getattr(a.value.to_general(), op)(b.value.to_general()).maximals()
         return getattr(a.value, op)(b.value)
     ca, cb = _as_contract(a), _as_contract(b)
-    if not general:
-        return getattr(behavioral, f"contract_{op}")(ca, cb)
-    general_op = getattr(behavioral, f"general_contract_{op}", None)
-    if general_op is None:
+    if general and op == "quotient":
         raise HypercError("general mode does not expose a contract quotient")
-    return _general(general_op, ca, cb)
+    contract_op = getattr(behavioral, f"contract_{op}")
+    return _general(contract_op, ca, cb) if general else contract_op(ca, cb)
 
 
 def _beh_pair(kind: str, same_op: str, contract_op: str | None, a: _Named, b: _Named, general: bool = False):

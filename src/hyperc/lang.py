@@ -356,7 +356,9 @@ def check_same_alphabet(a: RegularLanguage, b: RegularLanguage) -> None:
         raise AlphabetMismatch("alphabet mismatch")
 
 
-def _explore(start, successors: Callable, op: str, sizes: tuple[int, ...]) -> tuple[list, list[tuple]]:
+def _explore(
+    start, successors: Callable, op: str, sizes: tuple[int, ...], stop: Callable | None = None
+) -> tuple[list, list[tuple]]:
     """Breadth-first exploration of the states reachable from `start`.
 
     `successors(state)` gives a state's successor keys in symbol order, None
@@ -364,12 +366,18 @@ def _explore(start, successors: Callable, op: str, sizes: tuple[int, ...]) -> tu
     `start` is 0; rows[i] lists the numbers of states[i]'s successors, with
     None passed through.  Raises LimitExceeded, naming the operation `op` and
     its operand sizes, when the states reached would exceed `state_cap()`.
+
+    With `stop`, the search ends before it expands the first state, in
+    discovery order, for which `stop(state)` is true: that state is then
+    states[len(rows)], so len(rows) < len(states) exactly when one was found.
     """
     cap = state_cap()
     states = [start]
     index = {start: 0}
     rows = []
     for state in states:
+        if stop is not None and stop(state):
+            break
         row = []
         for t in successors(state):
             if t is None:
@@ -476,34 +484,28 @@ def counterexample(a: RegularLanguage, b: RegularLanguage, over: Iterable[str] |
 
     Breadth-first search over the reachable product pairs in symbol order,
     stopping at the first pair that accepts in a and rejects in b (early-exit
-    inclusion, as in Bonchi & Pous, POPL 2013).  Only parent pointers are
-    kept; the word is read back along them.  With b empty this is
-    `a.shortest_member()`.
+    inclusion, as in Bonchi & Pous, POPL 2013).  The word is read back along
+    the first edge that reached each pair: lowest row first, then lowest
+    symbol.  With b empty this is `a.shortest_member()`.
     """
     check_same_alphabet(a, b)
-    cap = state_cap()
-    symbols = a.alphabet.symbols
-    allowed = range(len(symbols)) if over is None else {a.alphabet.index(s) for s in over}
-    start = (a.initial, b.initial)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    queue = [start]
-    for pair in queue:
-        q, r = pair
-        if q in a.accepting and r not in b.accepting:
-            word: list[str] = []
-            step = parent[pair]
-            while step is not None:
-                pair, k = step
-                word.append(symbols[k])
-                step = parent[pair]
-            return tuple(reversed(word))
-        for k, t in enumerate(zip(a.delta[q], b.delta[r])):
-            if t not in parent and k in allowed:
-                if len(queue) >= cap:
-                    raise _cap_exceeded(cap, "inclusion check", (a.n_states, b.n_states))
-                parent[t] = (pair, k)
-                queue.append(t)
-    return None
+    da, db, fa, fb = a.delta, b.delta, a.accepting, b.accepting
+    successors = lambda p: zip(da[p[0]], db[p[1]])
+    if over is not None:
+        keep = a.alphabet.subset(over)
+        successors = lambda p: [t if s in keep else None for t, s in zip(zip(da[p[0]], db[p[1]]), a.alphabet.symbols)]
+    pairs, rows = _explore(
+        (a.initial, b.initial), successors, "inclusion check", (a.n_states, b.n_states),
+        stop=lambda p: p[0] in fa and p[1] not in fb,
+    )
+    if len(rows) == len(pairs):
+        return None
+    first = {t: i for i in reversed(range(len(rows))) for t in rows[i]}
+    word, j = [], len(rows)
+    while j:
+        word.append(a.alphabet.symbols[rows[first[j]].index(j)])
+        j = first[j]
+    return tuple(reversed(word))
 
 
 def is_subset(a: RegularLanguage, b: RegularLanguage) -> bool:

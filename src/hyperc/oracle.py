@@ -20,6 +20,7 @@ from .lang import (
     IoSignature,
     RegularLanguage,
     Word,
+    close_backward,
     is_subset,
     star_of,
     state_cap,
@@ -129,14 +130,9 @@ def random_receptive(
     in_idx = [alphabet.index(s) for s in io.inputs]
     for _ in range(200):
         dfa = random_dfa(rng, alphabet, max_states)
-        good = set(dfa.accepting)
-        changed = True
-        while changed:
-            changed = False
-            for q in sorted(good):
-                if any(dfa.delta[q][k] not in good for k in in_idx):
-                    good.discard(q)
-                    changed = True
+        # The accepting states that reach no rejecting state over inputs alone.
+        states = set(range(dfa.n_states))
+        good = states - close_backward(dfa.delta, states - dfa.accepting, in_idx)
         if dfa.initial not in good:
             continue
         # Words whose whole path stays in the surviving set.
@@ -583,20 +579,6 @@ ORACLE_KINDS: dict[str, Callable[[BoundedCheckConfig], CheckReport]] = {
     "conic-quotient": sweep_conic_quotient,
     "conic-ops": sweep_conic_ops,
 }
-
-_ADJUNCTION_KINDS = (
-    "exponential",
-    "receptive-quotient",
-    "interface-compose",
-    "conic-quotient",
-)
-
-
-def check_adjunction(kind: str, cfg: BoundedCheckConfig) -> CheckReport:
-    """Adjunction-style sweeps; `kind` is one of the residuated operators."""
-    if kind not in _ADJUNCTION_KINDS:
-        raise ValueError(f"unknown adjunction kind {kind!r}; pick one of {_ADJUNCTION_KINDS}")
-    return ORACLE_KINDS[kind](cfg)
 
 
 def run_check(kind: str, cfg: BoundedCheckConfig) -> CheckReport:

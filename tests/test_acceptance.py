@@ -27,7 +27,6 @@ from hyperc.behavioral import (
     contract_compose,
     contract_refines,
     convexity,
-    general_contract_compose,
     leq_masks,
     quotient_masks,
 )
@@ -140,13 +139,13 @@ def test_criterion_6_ag_running_example():
         failures.append(f"env={composite.env.maximals}")
     if composite.impl.maximals != (comp(0, 3).mask,):
         failures.append(f"impl={composite.impl.maximals}")
-    env_g, impl_g = general_contract_compose(
-        (c1.env.to_general(), c1.impl.to_general()),
-        (c2.env.to_general(), c2.impl.to_general()),
+    general = contract_compose(
+        BehavioralHypercontract(c1.env.to_general(), c1.impl.to_general()),
+        BehavioralHypercontract(c2.env.to_general(), c2.impl.to_general()),
     )
-    if composite.env.to_general().members != env_g.members:
+    if composite.env.to_general() != general.env:
         failures.append("general-engine env disagrees")
-    if composite.impl.to_general().members != impl_g.members:
+    if composite.impl.to_general() != general.impl:
         failures.append("general-engine impl disagrees")
     merged = ag_merge_strong(ag1, ag2)
     if (merged.assumptions, merged.guarantees) != (comp(0), comp(0)):

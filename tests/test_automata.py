@@ -128,6 +128,13 @@ class TestRefines:
         assert refines(iloop, ioloop)
         assert not refines(ioloop, iloop)
 
+    def test_failing_pair_at_the_cap(self, monkeypatch):
+        # The follower's missing move ends the search at the initial pair; it
+        # is no search state, so the 1×1 relation fits a cap of 1.
+        monkeypatch.setenv("HYPERC_MAX_STATES", "1")
+        lead = make(IO_OUT_A, ["p"], "p", {("p", "a"): "p"})
+        assert refines(lead, make(IO_OUT_A, ["q"], "q", {})) is False
+
     def test_signature_mismatch(self, ab, iloop):
         other = make(IoSignature(ab, frozenset({"o"})), ["p"], "p", {})
         with pytest.raises(SignatureMismatch):

@@ -29,10 +29,6 @@ from hyperc.behavioral import (
     contract_quotient,
     contract_refines,
     convexity,
-    general_contract_compose,
-    general_contract_join,
-    general_contract_meet,
-    general_contract_mirror,
     is_saturated,
     normalize_masks,
     quotient_masks,
@@ -50,6 +46,11 @@ def comp(*behaviors: int) -> Component:
 
 def conic(*masks: int) -> ConicCompset:
     return ConicCompset.from_components(U4, list(masks))
+
+
+def general(c: BehavioralHypercontract) -> BehavioralHypercontract:
+    """The same contract over the explicit (general) compsets of its downward closures."""
+    return BehavioralHypercontract(c.env.to_general(), c.impl.to_general())
 
 
 class TestUniverseAndComponents:
@@ -103,6 +104,14 @@ class TestGeneralOps:
         big = Universe(tuple(f"b{k}" for k in range(9)))
         with pytest.raises(UniverseTooLarge, match="general mode"):
             GeneralCompset(big, frozenset())
+
+    def test_contract_over_general_compsets(self):
+        h = GeneralCompset(U4, frozenset({0b0011}))
+        empty = GeneralCompset(U4, frozenset())
+        assert BehavioralHypercontract(empty, h).is_consistent()
+        assert not BehavioralHypercontract(h, empty).is_consistent()
+        with pytest.raises(ValueError, match="one compset representation"):
+            BehavioralHypercontract(conic(0b0011), h)
 
 
 class TestConicRepresentation:
@@ -388,14 +397,9 @@ class TestAgBridge:
         for _ in range(60):
             ag1 = AgContract(Component(U4, rng.randrange(16)), Component(U4, rng.randrange(16)))
             ag2 = AgContract(Component(U4, rng.randrange(16)), Component(U4, rng.randrange(16)))
-            c1, c2 = ag_to_contract(ag1), ag_to_contract(ag2)
-            env_g, impl_g = strong_merge_general(
-                (c1.env.to_general(), c1.impl.to_general()),
-                (c2.env.to_general(), c2.impl.to_general()),
-            )
+            c1, c2 = (general(ag_to_contract(ag)) for ag in (ag1, ag2))
             merged = ag_to_contract(ag_merge_strong(ag1, ag2))
-            assert merged.env.to_general().members == env_g.members
-            assert merged.impl.to_general().members == impl_g.members
+            assert general(merged) == strong_merge_general(c1, c2)
 
     def test_merge_weak_is_meet(self):
         ag1 = AgContract(comp(0, 1), comp(0, 2))
@@ -442,15 +446,12 @@ class TestStructuralFacts:
         for _ in range(60):
             def rand_general():
                 return GeneralCompset(U3, frozenset(rng.randrange(8) for _ in range(rng.randint(0, 5))))
-            c1 = (rand_general(), rand_general())
-            c2 = (rand_general(), rand_general())
-            lhs = general_contract_mirror(general_contract_meet(c1, c2))
-            rhs_e, rhs_i = general_contract_join(
-                general_contract_mirror(c1), general_contract_mirror(c2)
-            )
-            assert lhs[0].members == rhs_e.members and lhs[1].members == rhs_i.members
+            # Arbitrary explicit sets, not only downward-closed ones.
+            c1 = BehavioralHypercontract(rand_general(), rand_general())
+            c2 = BehavioralHypercontract(rand_general(), rand_general())
+            assert contract_meet(c1, c2).mirror() == contract_join(c1.mirror(), c2.mirror())
 
-    def test_general_contract_compose_matches_conic_on_closures(self):
+    def test_general_mode_compose_matches_conic_on_closures(self):
         chains = all_antichains(U4)
         rng = random.Random(13)
         for _ in range(40):
@@ -459,13 +460,7 @@ class TestStructuralFacts:
                     ConicCompset(U4, rng.choice(chains)), ConicCompset(U4, rng.choice(chains))
                 )
             c1, c2 = rand_contract(), rand_contract()
-            conic = contract_compose(c1, c2)
-            env_g, impl_g = general_contract_compose(
-                (c1.env.to_general(), c1.impl.to_general()),
-                (c2.env.to_general(), c2.impl.to_general()),
-            )
-            assert conic.env.to_general().members == env_g.members
-            assert conic.impl.to_general().members == impl_g.members
+            assert general(contract_compose(c1, c2)) == contract_compose(general(c1), general(c2))
 
 
 class TestNonInterference:

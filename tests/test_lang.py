@@ -528,7 +528,42 @@ class TestExploredEntry:
             find(cases, caught, settings=quick)
 
 
+def reference_counterexample(a: RegularLanguage, b: RegularLanguage, over=None):
+    """The earlier hand-written search: a queue of product pairs with parent
+    pointers, stopping at the first pair that accepts in a and rejects in b."""
+    symbols = a.alphabet.symbols
+    allowed = range(len(symbols)) if over is None else {a.alphabet.index(s) for s in over}
+    start = (a.initial, b.initial)
+    parent = {start: None}
+    queue = [start]
+    for pair in queue:
+        q, r = pair
+        if q in a.accepting and r not in b.accepting:
+            word = []
+            step = parent[pair]
+            while step is not None:
+                pair, k = step
+                word.append(symbols[k])
+                step = parent[pair]
+            return tuple(reversed(word))
+        for k, t in enumerate(zip(a.delta[q], b.delta[r])):
+            if t not in parent and k in allowed:
+                parent[t] = (pair, k)
+                queue.append(t)
+    return None
+
+
 class TestCounterexample:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=raw_dfa_pairs(), data=st.data())
+    def test_matches_reference_search(self, pair, data):
+        # The same word, not only a word of the same length: witnesses are printed.
+        a, b = pair
+        assert counterexample(a, b) == reference_counterexample(a, b)
+        assert counterexample(b, a) == reference_counterexample(b, a)
+        over = data.draw(st.sets(st.sampled_from(a.alphabet.symbols)))
+        assert counterexample(a, b, over=over) == reference_counterexample(a, b, over)
+
     @settings(max_examples=200, deadline=None)
     @given(pair=raw_dfa_pairs())
     def test_matches_full_product_and_difference(self, pair):
@@ -562,6 +597,8 @@ class TestCounterexample:
     def test_alphabet_mismatch(self, istar):
         with pytest.raises(AlphabetMismatch):
             counterexample(istar, sigma_star(AB3))
+        with pytest.raises(AlphabetMismatch, match="unknown symbol 'z'"):
+            counterexample(istar, istar, over=["z"])
 
 
 class TestStateCap:

@@ -11,7 +11,6 @@ from hyperc.lang import Alphabet, IoSignature, concat_symbol_class, sigma_star, 
 from hyperc.oracle import (
     ORACLE_KINDS,
     BoundedCheckConfig,
-    check_adjunction,
     check_missext_definition,
     check_unc_definition,
     random_receptive,
@@ -93,12 +92,6 @@ class TestSweeps:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown oracle kind"):
             run_check("nope", FAST)
-
-    def test_adjunction_dispatch(self):
-        report = check_adjunction("exponential", FAST)
-        assert report.kind == "exponential" and report.ok
-        with pytest.raises(ValueError):
-            check_adjunction("missext", FAST)
 
     def test_reports_are_seed_deterministic(self):
         a = sweep_receptive_quotient(FAST)
