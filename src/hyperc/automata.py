@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract
 from .errors import LimitExceeded, SignatureMismatch, ValidationError
-from .lang import IoSignature, RegularLanguage, _explore, close_backward, state_cap
+from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, close_backward, state_cap
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,11 @@ def make(
     if len(rows) != len(names):
         raise ValidationError("state names must be distinct")
     if isinstance(transitions, Mapping):
-        triples = [(src, sym, dst) for (src, sym), dst in transitions.items()]
-    else:
-        triples = list(transitions)
-    for src, sym, dst in triples:
+        transitions = [(src, sym, dst) for (src, sym), dst in transitions.items()]
+    for entry in transitions:
+        src, sym, dst = entry
         if src not in rows or dst not in rows:
-            raise ValidationError(f"unknown state in transition {(src, sym, dst)!r}")
+            raise ValidationError(f"unknown state in transition {entry!r}")
         k = io.alphabet.index(sym)
         if rows[src][k] is not None:
             raise ValidationError(f"nondeterministic transitions from {src!r} on {sym!r}")
@@ -79,16 +78,10 @@ def make(
 
 
 def language(a: InterfaceAutomaton) -> RegularLanguage:
-    """ℓ(A): the prefix-closed language of playable words (complete with a
-    rejecting sink, all original states accepting)."""
-    nsym = len(a.io.alphabet)
-    sink = a.n_states
-    delta = tuple(
-        tuple(sink if t is None else t for t in row) for row in a.trans
-    ) + ((sink,) * nsym,)
-    return RegularLanguage._trusted(
-        a.io.alphabet, a.initial, frozenset(range(a.n_states)), delta
-    ).canonical()
+    """ℓ(A): the prefix-closed language of playable words.  The automaton's
+    rows are the language's rows: every state accepts, and a missing
+    transition goes to the rejecting sink."""
+    return _canonicalize(a.io.alphabet, a.initial, range(a.n_states), a.trans)
 
 
 def to_contract(a: InterfaceAutomaton) -> InterfaceHypercontract:

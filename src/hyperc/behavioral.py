@@ -330,7 +330,8 @@ class GeneralCompset:
             if m >> k & 1
         )
 
-    def maximals(self) -> ConicCompset:
+    def to_conic(self) -> ConicCompset:
+        """The antichain of maximal members: the counterpart of `ConicCompset.to_general`."""
         return ConicCompset._trusted(self.universe, normalize_masks(self.members))
 
 

@@ -155,7 +155,7 @@ def _general(op: Callable, *operands):
     """A contract operation run on the general (explicit) form of conic contracts, brought back to conic form."""
     contract = _lib("behavioral.BehavioralHypercontract")
     result = op(*(contract(c.env.to_general(), c.impl.to_general()) for c in operands))
-    return contract(result.env.maximals(), result.impl.maximals())
+    return contract(result.env.to_conic(), result.impl.to_conic())
 
 
 def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
@@ -166,7 +166,7 @@ def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
         return behavioral.component_quotient(a.value, b.value)
     if a.kind == b.kind == "compset":
         if general:
-            return getattr(a.value.to_general(), op)(b.value.to_general()).maximals()
+            return getattr(a.value.to_general(), op)(b.value.to_general()).to_conic()
         return getattr(a.value, op)(b.value)
     ca, cb = _as_contract(a), _as_contract(b)
     if general and op == "quotient":

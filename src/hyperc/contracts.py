@@ -18,6 +18,7 @@ from .lang import (
     Alphabet,
     IoSignature,
     RegularLanguage,
+    _canonicalize,
     _cap_exceeded,
     is_prefix_closed,
     is_receptive,
@@ -68,11 +69,11 @@ class InterfaceHypercontract:
         if top > cap:
             raise _cap_exceeded(cap, op, (top,))
         idx, acc = {s.alphabet.index(x) for x in gamma}, s.accepting
-        delta = tuple(
+        delta = [
             tuple(top if k in idx and q in acc and t not in acc else t for k, t in enumerate(row))
             for q, row in enumerate(s.delta)
-        ) + ((top,) * len(s.alphabet),)
-        return RegularLanguage._trusted(s.alphabet, s.initial, acc | {top}, delta).canonical()
+        ] + [(top,) * len(s.alphabet)]
+        return _canonicalize(s.alphabet, s.initial, acc | {top}, delta)
 
     @cached_property
     def e(self) -> RegularLanguage:

@@ -17,7 +17,7 @@ from .errors import DocumentError, HypercError
 # one kind of document loads none of the others' modules.
 if TYPE_CHECKING:
     from .automata import InterfaceAutomaton
-    from .behavioral import AgContract, BehavioralHypercontract, Component, ConicCompset, Universe
+    from .behavioral import AgContract, BehavioralHypercontract, Component, ConicCompset, GeneralCompset, Universe
     from .contracts import InterfaceHypercontract
     from .lang import Alphabet, IoSignature, RegularLanguage
     from .receptive import ReceptiveLanguage
@@ -73,13 +73,20 @@ def _states(doc: dict, what: str) -> tuple[list[str], dict[str, int], str]:
     return states, pos, initial
 
 
+def _triples(doc: dict, what: str):
+    """The entries of a transition-table document's transitions, each checked
+    to be a [state, symbol, state] triple of strings as it is reached."""
+    for entry in _require(doc, "transitions", list, what):
+        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
+            raise DocumentError(f"transition {entry!r} must be the triple [state, symbol, state]")
+        yield entry
+
+
 def _rows(doc: dict, alphabet: Alphabet, pos: dict[str, int], what: str) -> list[list[int | None]]:
     """The partial transition function rows[state][symbol] of a transition-table
     document, by position; None where a document lists no transition."""
     rows: list[list[int | None]] = [[None] * len(alphabet) for _ in pos]
-    for entry in _require(doc, "transitions", list, what):
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
-            raise DocumentError(f"transition {entry!r} must be the triple [state, symbol, state]")
+    for entry in _triples(doc, what):
         src, sym, dst = entry
         if src not in pos or dst not in pos:
             raise DocumentError(f"unknown state in transition {entry!r}")
@@ -93,23 +100,20 @@ def _rows(doc: dict, alphabet: Alphabet, pos: dict[str, int], what: str) -> list
 
 
 def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
-    from .lang import RegularLanguage
+    """The canonical form of a language document; with auto_trap, a missing
+    transition goes to a rejecting sink."""
+    from .lang import _canonicalize
 
     alphabet = parse_alphabet(doc)
-    states, pos, initial = _states(doc, "language")
+    _, pos, initial = _states(doc, "language")
     accepting = _string_list(doc, "accepting", "language")
     for s in accepting:
         if s not in pos:
             raise DocumentError(f"unknown accepting state {s!r}")
     rows = _rows(doc, alphabet, pos, "language")
-    partial = any(t is None for row in rows for t in row)
-    if partial and not auto_trap:
+    if not auto_trap and any(None in row for row in rows):
         raise DocumentError("partial transition function (auto-trap disabled)")
-    sink = len(states)
-    delta = tuple(tuple(sink if t is None else t for t in row) for row in rows)
-    if partial:
-        delta = delta + ((sink,) * len(alphabet),)
-    return RegularLanguage(alphabet, pos[initial], frozenset(pos[s] for s in accepting), delta)
+    return _canonicalize(alphabet, pos[initial], {pos[s] for s in accepting}, rows)
 
 
 def language_doc(lang: RegularLanguage) -> dict:
@@ -189,16 +193,9 @@ def parse_ia(doc: dict) -> InterfaceAutomaton:
     what = "interface automaton"
     alphabet = parse_alphabet(doc, what)
     io = IoSignature(alphabet, _inputs_of(doc, alphabet, what))
-    states, pos, initial = _states(doc, what)
-    rows = _rows(doc, alphabet, pos, what)
-    triples = [
-        (states[q], sym, states[t])
-        for q, row in enumerate(rows)
-        for sym, t in zip(alphabet.symbols, row)
-        if t is not None
-    ]
+    states, _, initial = _states(doc, what)
     try:
-        return make(io, states, initial, triples)
+        return make(io, states, initial, _triples(doc, what))
     except HypercError as err:
         raise DocumentError(str(err)) from None
 
@@ -309,7 +306,12 @@ def component_names(c: Component) -> list[str]:
     return list(c.behaviors())
 
 
-def compset_doc(h: ConicCompset) -> list[list[str]]:
+def compset_doc(h: ConicCompset | GeneralCompset) -> list[list[str]]:
+    """The antichain of maximal components; a general compset gives its conic form's."""
+    from .behavioral import GeneralCompset
+
+    if isinstance(h, GeneralCompset):
+        h = h.to_conic()
     return [list(h.universe.names_of(m)) for m in h.maximals]
 
 

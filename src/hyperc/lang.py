@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch
 
@@ -158,9 +158,10 @@ class RegularLanguage:
     def _trusted(
         cls, alphabet: Alphabet, initial: int, accepting: frozenset[int], delta: tuple[tuple[int, ...], ...]
     ) -> "RegularLanguage":
-        """Trusted constructor for automata built by this package: the fields
+        """Trusted constructor for automata built in this module: the fields
         are stored as given (a frozenset and a tuple of tuples, total and in
-        range), without the copies and checks of the public constructor."""
+        range), without the copies and checks of the public constructor.
+        Other modules hand their rows to `_canonicalize` instead."""
         self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "initial", initial)
@@ -195,7 +196,7 @@ class RegularLanguage:
     def canonical(self) -> "RegularLanguage":
         cached = getattr(self, "_canon", None)
         if cached is None:
-            cached = _canonicalize(self)
+            cached = _canonicalize(self.alphabet, self.initial, self.accepting, self.delta)
             object.__setattr__(self, "_canon", cached)
         return self if cached is True else cached
 
@@ -251,9 +252,7 @@ def sigma_star(alphabet: Alphabet) -> RegularLanguage:
 def star_of(alphabet: Alphabet, symbols: Iterable[str]) -> RegularLanguage:
     """The language `symbols*` (all words over the given symbol subset)."""
     keep = alphabet.subset(symbols)
-    row0 = tuple(0 if s in keep else 1 for s in alphabet.symbols)
-    row1 = (1,) * len(alphabet)
-    return RegularLanguage._trusted(alphabet, 0, frozenset({0}), (row0, row1)).canonical()
+    return _canonicalize(alphabet, 0, (0,), [tuple(0 if s in keep else None for s in alphabet.symbols)])
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word]) -> RegularLanguage:
@@ -269,11 +268,8 @@ def from_words(alphabet: Alphabet, words: Iterable[Word]) -> RegularLanguage:
                 children[q][k] = len(children) - 1
             q = children[q][k]
         accepting.add(q)
-    sink = len(children)
-    delta = tuple(
-        tuple(children[q].get(k, sink) for k in range(len(alphabet))) for q in range(len(children))
-    ) + ((sink,) * len(alphabet),)
-    return RegularLanguage._trusted(alphabet, 0, frozenset(accepting), delta).canonical()
+    symbols = range(len(alphabet))
+    return _canonicalize(alphabet, 0, accepting, [tuple(map(row.get, symbols)) for row in children])
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -284,16 +280,23 @@ def canonicalize(lang: RegularLanguage) -> RegularLanguage:
     return lang.canonical()
 
 
-def _canonicalize(lang: RegularLanguage, *, explored: bool = False) -> RegularLanguage:
-    """Minimal complete DFA by column-wise Moore refinement.
+def _canonicalize(
+    alphabet: Alphabet, initial: int, accepting: Collection[int], rows: Sequence[Sequence[int | None]], *,
+    explored: bool = False,
+) -> RegularLanguage:
+    """The canonical form of the DFA with transition rows `rows` (states
+    0..n-1), by column-wise Moore refinement.
 
-    `explored=True` is only for automata that `_explore` built and nothing
-    edited after (reachable, numbered breadth-first in symbol order from 0),
-    from `_binary`, `concat_symbol_class` and `concat_sigma_star`: the
-    breadth-first renumbering is skipped, and a discrete partition returns the
-    input.  Edges redirected after exploring (`receptive._marked_product`,
-    `automata.language`, `receptive.exponential_definitional`), `complement`
-    and jsonio or public-constructor input take the general path.
+    rows[q][k] is None for a missing transition, which goes to a rejecting
+    sink: rows holding None get one sink state appended.  States that
+    `initial` does not reach are refined with the others and then dropped by
+    the breadth-first numbering of the blocks.
+
+    `explored=True` is only for rows that `_explore` built and nothing edited
+    after (complete, reachable, numbered breadth-first in symbol order from
+    0, `accepting` a frozenset), from `_binary`, `concat_symbol_class` and
+    `concat_sigma_star`: the scan for None is skipped, and a discrete
+    partition returns the rows as they are.
 
     Each O(k·n) round splits blocks by (own block, successor block per
     symbol), gathered by one `itemgetter` per column; a block's id is the
@@ -301,20 +304,13 @@ def _canonicalize(lang: RegularLanguage, *, explored: bool = False) -> RegularLa
     or reaches n: over one seed-1 lang-large pass (669 calls) after 3 at the
     median and 12 at most.  185 of its 225 boolean results are minimal as built.
     """
-    delta = lang.delta
-    # Not zip(*delta): its one GC-tracked iterator per state set off full collections.
-    cols = [list(map(itemgetter(k), delta)) for k in range(len(lang.alphabet))]
-    order = range(len(delta))
-    if not explored:
-        order, num = [lang.initial], {lang.initial: 0}
-        for q in order:
-            for t in delta[q]:
-                if t not in num:
-                    num[t] = len(order)
-                    order.append(t)
-        cols = [list(map(num.__getitem__, map(col.__getitem__, order))) for col in cols]
-    n = len(order)
-    block = [1 if q in lang.accepting else 0 for q in order]
+    n = len(rows)
+    # Not zip(*rows): its one GC-tracked iterator per state set off full collections.
+    cols = [list(map(itemgetter(k), rows)) for k in range(len(alphabet))]
+    if not explored and any(None in col for col in cols):
+        cols = [[n if t is None else t for t in col] + [n] for col in cols]
+        n += 1
+    block = [1 if q in accepting else 0 for q in range(n)]
     nblocks = len(set(block))
     gets = [itemgetter(*col) for col in cols]
     while nblocks < n:
@@ -324,22 +320,23 @@ def _canonicalize(lang: RegularLanguage, *, explored: bool = False) -> RegularLa
             break
         nblocks = len(ids)
     if explored and nblocks == n:
-        return _as_canonical(lang)
+        return _as_canonical(RegularLanguage._trusted(alphabet, 0, accepting, tuple(rows)))
     # The stable partition is a congruence, so any member represents its block;
-    # BFS over blocks fixes the canonical numbering, reps[j] the block numbered j.
+    # BFS over blocks from the initial one drops the unreachable states and
+    # fixes the canonical numbering, reps[j] the block numbered j.
     rep = dict(zip(block, range(n)))
-    idx = {block[0]: 0}
-    reps = [rep[block[0]]]
+    idx = {block[initial]: 0}
+    reps = [rep[block[initial]]]
     for i in reps:
         for col in cols:
             tb = block[col[i]]
             if tb not in idx:
                 idx[tb] = len(reps)
                 reps.append(rep[tb])
-    rows = tuple(zip(*[[idx[block[col[i]]] for i in reps] for col in cols]))
+    delta = tuple(zip(*[[idx[block[col[i]]] for i in reps] for col in cols]))
     # Numbers taken from idx are the int objects the rows already hold.
-    accepting = frozenset(j for b, j in idx.items() if order[rep[b]] in lang.accepting)
-    return _as_canonical(RegularLanguage._trusted(lang.alphabet, 0, accepting, rows))
+    final = frozenset(j for b, j in idx.items() if rep[b] in accepting)
+    return _as_canonical(RegularLanguage._trusted(alphabet, 0, final, delta))
 
 
 def _as_canonical(lang: RegularLanguage) -> RegularLanguage:
@@ -413,7 +410,7 @@ def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable, op: str) -> 
     accepting = frozenset(
         i for i, (q, r) in enumerate(pairs) if keep(q in a.accepting, r in b.accepting)
     )
-    return _canonicalize(RegularLanguage._trusted(a.alphabet, 0, accepting, tuple(rows)), explored=True)
+    return _canonicalize(a.alphabet, 0, accepting, rows, explored=True)
 
 
 # -- concatenation-shaped operators ------------------------------------------
@@ -432,7 +429,7 @@ def concat_symbol_class(lang: RegularLanguage, symbols: Iterable[str]) -> Regula
         "symbol-class concatenation", (lang.n_states,),
     )
     flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
-    return _canonicalize(RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)), explored=True)
+    return _canonicalize(lang.alphabet, 0, flagged, rows, explored=True)
 
 
 def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
@@ -445,7 +442,7 @@ def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
         "Σ* concatenation", (lang.n_states,),
     )
     flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
-    return _canonicalize(RegularLanguage._trusted(lang.alphabet, 0, flagged, tuple(rows)), explored=True)
+    return _canonicalize(lang.alphabet, 0, flagged, rows, explored=True)
 
 
 def close_backward(rows: Sequence[Sequence], seeds: Iterable[int], labels: Iterable[int]) -> set[int]:
@@ -472,7 +469,7 @@ def close_backward(rows: Sequence[Sequence], seeds: Iterable[int], labels: Itera
 def prefix_closure(lang: RegularLanguage) -> RegularLanguage:
     """Pre(L): every prefix of every member of L."""
     live = close_backward(lang.delta, lang.accepting, range(len(lang.alphabet)))
-    return RegularLanguage._trusted(lang.alphabet, lang.initial, frozenset(live), lang.delta).canonical()
+    return _canonicalize(lang.alphabet, lang.initial, live, lang.delta)
 
 
 # -- decision procedures -------------------------------------------------------

@@ -20,6 +20,7 @@ from .lang import (
     IoSignature,
     RegularLanguage,
     Word,
+    _canonicalize,
     close_backward,
     is_subset,
     star_of,
@@ -136,16 +137,8 @@ def random_receptive(
         if dfa.initial not in good:
             continue
         # Words whose whole path stays in the surviving set.
-        sink = dfa.n_states
-        delta = tuple(
-            tuple(
-                dfa.delta[q][k] if q in good and dfa.delta[q][k] in good else sink
-                for k in range(len(alphabet))
-            )
-            for q in range(dfa.n_states)
-        ) + ((sink,) * len(alphabet),)
-        lang = RegularLanguage(alphabet, dfa.initial, frozenset(good), delta)
-        return ReceptiveLanguage(lang, io)
+        rows = [tuple(t if q in good and t in good else None for t in row) for q, row in enumerate(dfa.delta)]
+        return ReceptiveLanguage(_canonicalize(alphabet, dfa.initial, good, rows), io)
     return ReceptiveLanguage(star_of(alphabet, io.inputs), io)
 
 

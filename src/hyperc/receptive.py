@@ -19,6 +19,7 @@ from .lang import (
     Alphabet,
     IoSignature,
     RegularLanguage,
+    _canonicalize,
     close_backward,
     concat_symbol_class,
     counterexample,
@@ -104,16 +105,16 @@ def leq(a: ReceptiveLanguage, b: ReceptiveLanguage) -> bool:
 def _marked_product(
     lang: RegularLanguage, lang2: RegularLanguage, op: str, accept: Callable[[bool, bool], bool], *,
     miss: Iterable[str] = (), escape: Iterable[str] = (), escape2: Iterable[str] = (),
-    follow: Iterable[str] = (), marked_accepts: bool = False,
+    follow: Iterable[str] = (),
 ) -> RegularLanguage:
-    """One product L×L′ plus ⊤ (accepting, loops on Σ) and ⊥ (rejecting sink).
+    """One product L×L′ plus ⊤ (accepting, loops on Σ).
 
     A pair is marked when it lies in L∩L′ and reaches, over `follow` edges
     through any pairs, an L∩L′ pair with an `escape` edge into L′\\L or an
-    `escape2` edge into L\\L′.  Edges into marked pairs (and a marked initial
-    pair) go to ⊤ if `marked_accepts` else to ⊥, the other `miss` edges from
-    an L∩L′ pair into a pair outside L′ go to ⊤, and every other pair (q, r)
-    accepts by `accept(q ∈ L, r ∈ L′)`.  `op` names the operation.
+    `escape2` edge into L\\L′.  A marked pair rejects and has no transitions,
+    so it is ⊥, the rejecting sink of a missing transition; the `miss` edges
+    from an L∩L′ pair into a pair outside L′ go to ⊤, and every other pair
+    (q, r) accepts by `accept(q ∈ L, r ∈ L′)`.  `op` names the operation.
     """
     alphabet = lang.alphabet
     pairs, rows = product_map(lang, lang2, op)
@@ -125,18 +126,14 @@ def _marked_product(
     seeds = [i for i, row in enumerate(rows) if both[i] and any(kind[row[k]] == to for k, to in escapes)]
     marked = {i for i in close_backward(rows, seeds, map(alphabet.index, follow)) if both[i]}
     miss_idx = {alphabet.index(s) for s in miss}
-    top, bottom = n, n + 1
-    sink = top if marked_accepts else bottom
-    delta = tuple(
-        tuple(
-            sink if t in marked else top if both[i] and k in miss_idx and not kind[t][1] else t
-            for k, t in enumerate(row)
-        )
+    top = n
+    delta = [
+        (None,) * nsym if i in marked
+        else tuple(top if both[i] and k in miss_idx and not kind[t][1] else t for k, t in enumerate(row))
         for i, row in enumerate(rows)
-    ) + ((top,) * nsym, (bottom,) * nsym)
-    accepting = frozenset(i for i in range(n) if accept(*kind[i])) | {top}
-    initial = sink if 0 in marked else 0
-    return RegularLanguage._trusted(alphabet, initial, accepting, delta).canonical()
+    ] + [(top,) * nsym]
+    accepting = {i for i in range(n) if i not in marked and accept(*kind[i])} | {top}
+    return _canonicalize(alphabet, 0, accepting, delta)
 
 
 def miss_ext(lang: RegularLanguage, lang2: RegularLanguage, gamma: Iterable[str]) -> RegularLanguage:
@@ -157,14 +154,14 @@ def unc(
 
     Words w of L ∩ L' from which some continuation w' ∈ (Γ∪Δ)* followed by a
     symbol of Γ lands in L' \\ L, extended by Σ*.  Computed on the product
-    automaton: mark states with a Γ-successor in L' \\ L, close backwards over
-    (Γ∪Δ)-labeled edges, and send the edges into the marked L ∩ L' states to
-    ⊤, the only accepting state.
+    automaton: mark states with a Γ-successor in L' \\ L and close backwards
+    over (Γ∪Δ)-labeled edges.  The product whose marked L ∩ L' states are ⊥
+    and whose every other state accepts holds the words that never reach a
+    marked state, so Unc is its complement.
     """
     gamma = tuple(gamma)
-    return _marked_product(
-        lang, lang2, "Unc", lambda q, r: False, escape=gamma, follow=gamma + tuple(delta), marked_accepts=True
-    )
+    never_marked = _marked_product(lang, lang2, "Unc", lambda q, r: True, escape=gamma, follow=gamma + tuple(delta))
+    return never_marked.complement()
 
 
 # -- Heyting structure ---------------------------------------------------------
@@ -184,16 +181,10 @@ def exponential_definitional(target: ReceptiveLanguage, other: ReceptiveLanguage
     _require_same_io(target, other)
     lang, lang2 = target.lang, other.lang
     pairs, rows = product_map(lang, lang2)
-    n = len(pairs)
+    # A bad pair rejects and has no transitions: it is the rejecting sink.
     bad = [r in lang2.accepting and q not in lang.accepting for q, r in pairs]
-    nsym = len(lang.alphabet)
-    dead = n
-    delta = tuple(
-        tuple(dead if bad[rows[i][k]] else rows[i][k] for k in range(nsym)) for i in range(n)
-    ) + ((dead,) * nsym,)
-    accepting = frozenset(i for i in range(n) if not bad[i]) if not bad[0] else frozenset()
-    initial = dead if bad[0] else 0
-    return RegularLanguage._trusted(lang.alphabet, initial, accepting, delta).canonical()
+    delta = [(None,) * len(row) if bad[i] else row for i, row in enumerate(rows)]
+    return _canonicalize(lang.alphabet, 0, {i for i, b in enumerate(bad) if not b}, delta)
 
 
 # -- composition and quotient ---------------------------------------------------

@@ -84,6 +84,12 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="nondeterministic"):
             make(io_i, ["p", "q"], "p", [("p", "i", "p"), ("p", "i", "q")])
 
+    def test_unknown_state_named_as_given(self, io_i):
+        with pytest.raises(ValidationError, match=r"^unknown state in transition \('p', 'i', 'zz'\)$"):
+            make(io_i, ["p"], "p", [("p", "i", "zz")])
+        with pytest.raises(ValidationError, match=r"^unknown state in transition \('p', 'i', 'zz'\)$"):
+            make(io_i, ["p"], "p", {("p", "i"): "zz"})
+
     def test_unreachable_states_trimmed(self, io_i):
         a = make(io_i, ["p", "stray"], "p", {})
         assert a.state_names == ("p",)

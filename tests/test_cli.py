@@ -3,6 +3,7 @@ the command table."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperc.behavioral
 import hyperc.contracts
@@ -353,6 +356,79 @@ class TestErrors:
         code, out, err = run(capsys, "lang", "refines", fx("sigma.json"), fx("istar.json"))
         assert (code, out) == (2, "")
         assert err == f"error: HYPERC_MAX_STATES must be a positive integer, got {raw!r}\n"
+
+
+#: One verb per document kind, on a fixture whose mutants it reads.
+MUTATED_DOCUMENTS = {
+    "L": ("istar.json", ("lang", "complement")),
+    "R": ("rec_istar.json", ("lang", "validate")),
+    "C": ("c_l.json", ("iface", "from-s")),
+    "A": ("ia_aout.json", ("ia", "language")),
+    "B": ("beh.json", ("beh", "compose", "cmix", "ctop")),
+}
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from(["", "a", "i", "o", "p0", "zz", "0", "9", "a1"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["S", "env", "A", "x"]), kids, max_size=2),
+    max_leaves=5,
+)
+
+
+def _slots(node, out: list) -> list:
+    """Every (container, key) slot of a JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append((node, key))
+        _slots(child, out)
+    return out
+
+
+@st.composite
+def mutated(draw, doc: dict) -> dict:
+    """`doc` after one to three edits: a slot deleted, given a new JSON value
+    or a copy of another slot's value, or a list entry repeated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(("delete", "replace", "copy", "repeat")))
+        if action == "delete":
+            del node[key]
+        elif action == "replace":
+            node[key] = draw(_JSON_VALUES)
+        elif action == "copy":
+            other, other_key = draw(st.sampled_from(slots))
+            node[key] = copy.deepcopy(other[other_key])
+        elif isinstance(node, list):
+            node.append(copy.deepcopy(node[key]))
+    return doc
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("kind", MUTATED_DOCUMENTS)
+    def test_mutated_documents_exit_cleanly(self, kind, tmp_path, capsys):
+        """Any document gives an answer (exit 0 or 1) or exit 2 with a one-line
+        `error: ...`, never a traceback."""
+        name, (group, verb, *names) = MUTATED_DOCUMENTS[kind]
+        path = tmp_path / name
+
+        base = json.loads((DATA / name).read_text(encoding="utf-8"))
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(doc=mutated(base), fmt=st.sampled_from(["text", "json"]))
+        def check(doc, fmt):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code = main([group, verb, str(path), *names, "--format", fmt])
+            err = capsys.readouterr().err
+            assert code in (0, 1) or (code == 2 and err.startswith("error: ") and err.count("\n") == 1), err
+
+        check()
 
 
 class TestStateCap:

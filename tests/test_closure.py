@@ -195,7 +195,7 @@ def test_conic_results():
         ]
         if u.size <= behavioral.GENERAL_MODE_MAX:
             members = frozenset(rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6)))
-            results.append(GeneralCompset(u, members).maximals())
+            results.append(GeneralCompset(u, members).to_conic())
         for op in contract_ops:
             result = op(c, c2)
             results += [result.env, result.impl]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import lang_of
 from hyperc import jsonio
-from hyperc.behavioral import Universe
+from hyperc.behavioral import BehavioralHypercontract, ConicCompset, Universe
 from hyperc.errors import DocumentError, ValidationError
 
 
@@ -117,6 +117,29 @@ class TestIaDocs:
         with pytest.raises(DocumentError, match="nondeterministic"):
             jsonio.parse_ia(doc)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (["p", "i", "zz"], "unknown state in transition ['p', 'i', 'zz']"),
+            (["zz", "o", "q"], "unknown state in transition ['zz', 'o', 'q']"),
+            (["p", "x", "q"], "unknown symbol 'x'"),
+            (["p", "i", "p"], "nondeterministic transitions from 'p' on 'i'"),
+        ],
+    )
+    def test_fault_messages(self, entry, message):
+        # The triples go to `automata.make` as read, so it names a bad entry
+        # as the document lists it.
+        doc = {
+            "alphabet": ["i", "o"],
+            "inputs": ["i"],
+            "states": ["p", "q"],
+            "initial": "p",
+            "transitions": [["p", "i", "q"], entry, ["q", "o", "p"]],
+        }
+        with pytest.raises(DocumentError) as info:
+            jsonio.parse_ia(doc)
+        assert str(info.value) == message
+
 
 class TestBehavioralDocs:
     def test_bundle(self):
@@ -132,6 +155,15 @@ class TestBehavioralDocs:
         assert doc.compsets["h"].k == 2
         assert doc.contracts["c"].impl.maximals == (doc.components["a1"].mask,)
         assert doc.ag["agc"].assumptions == doc.components["a1"]
+
+    def test_general_contract_doc_is_its_conic_form(self):
+        u = Universe(("0", "1", "2"))
+        env, impl = ConicCompset.from_components(u, [0b011, 0b110]), ConicCompset.from_components(u, [0b001])
+        general = BehavioralHypercontract(env.to_general(), impl.to_general())
+        expected = {"universe": ["0", "1", "2"], "env": [["0", "1"], ["1", "2"]], "impl": [["0"]]}
+        assert jsonio.behavioral_contract_doc(general) == expected
+        assert jsonio.behavioral_contract_doc(BehavioralHypercontract(env, impl)) == expected
+        assert jsonio.compset_doc(general.env) == jsonio.compset_doc(env)
 
     def test_unknown_component_reference(self):
         raw = {"universe": ["0"], "compsets": {"h": ["nope"]}}

@@ -13,6 +13,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import hyperc.lang
+import hyperc.receptive
 from conftest import all_words, lang_of
 from hyperc.contracts import from_s, is_environment, is_implementation
 from hyperc.errors import AlphabetMismatch, HypercError, LimitExceeded, ValidationError
@@ -164,6 +165,30 @@ def reference_moore(lang: RegularLanguage) -> tuple[frozenset[int], tuple[tuple[
     delta = tuple(tuple(idx[block[lang.delta[rep[b]][k]]] for k in range(nsym)) for b in bfs)
     accepting = frozenset(idx[b] for b in bfs if rep[b] in lang.accepting)
     return accepting, delta
+
+
+def completed(alphabet: Alphabet, initial: int, accepting, rows) -> RegularLanguage:
+    """The complete DFA of rows with None for a missing transition, built
+    here: every None goes to one appended rejecting sink."""
+    sink = len(rows)
+    delta = [[sink if t is None else t for t in row] for row in rows] + [[sink] * len(alphabet)]
+    return RegularLanguage(alphabet, initial, accepting, delta)
+
+
+def canonicalize_dfa(lang: RegularLanguage) -> RegularLanguage:
+    return _canonicalize(lang.alphabet, lang.initial, lang.accepting, lang.delta)
+
+
+@st.composite
+def partial_rows(draw) -> tuple:
+    """(alphabet, initial, accepting, rows) of a raw DFA (see raw_dfas: a
+    random initial state, unreachable and equivalent states) with about a
+    quarter of its transitions missing."""
+    lang = draw(raw_dfas(draw(st.sampled_from(ALPHABETS)), max_states=15))
+    k = len(lang.alphabet)
+    cut = draw(st.lists(st.integers(0, 3), min_size=lang.n_states * k, max_size=lang.n_states * k))
+    rows = [tuple(None if cut[q * k + j] == 0 else t for j, t in enumerate(row)) for q, row in enumerate(lang.delta)]
+    return lang.alphabet, lang.initial, lang.accepting, rows
 
 
 class TestBooleanOps:
@@ -384,19 +409,29 @@ class TestCanonical:
     @given(data=st.data())
     def test_matches_reference_moore(self, data):
         a = data.draw(raw_dfas(data.draw(st.sampled_from(ALPHABETS))))
-        c = _canonicalize(a)
+        c = canonicalize_dfa(a)
         assert c.initial == 0
         assert (c.accepting, c.delta) == reference_moore(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=partial_rows())
+    def test_missing_transitions_match_reference_moore(self, case):
+        # None is a missing transition into the rejecting sink; unreachable
+        # states are dropped and a nonzero initial state is renumbered 0.
+        c = _canonicalize(*case)
+        assert c.initial == 0
+        assert (c.accepting, c.delta) == reference_moore(completed(*case))
+        assert c.canonical() is c
 
     @pytest.mark.parametrize("alphabet", ALPHABETS)
     def test_one_state_and_empty(self, alphabet):
         k = len(alphabet)
         for accepting in (frozenset(), frozenset({0})):
-            c = _canonicalize(RegularLanguage(alphabet, 0, accepting, ((0,) * k,)))
+            c = canonicalize_dfa(RegularLanguage(alphabet, 0, accepting, ((0,) * k,)))
             assert (c.accepting, c.delta) == (accepting, ((0,) * k,))
         # A 3-state automaton with no accepting state is the 1-state empty language.
         empty = RegularLanguage(alphabet, 2, frozenset(), ((1,) * k, (2,) * k, (0,) * k))
-        c = _canonicalize(empty)
+        c = canonicalize_dfa(empty)
         assert (c.accepting, c.delta) == reference_moore(empty) == (frozenset(), ((0,) * k,))
 
 
@@ -496,8 +531,9 @@ class TestExploredEntry:
 
     def test_non_bfs_input_is_caught(self, monkeypatch):
         """Mutants: a caller that claims the entry for a state-permuted product,
-        or for `_marked_product`'s raw automaton with its ⊤/⊥ redirects, must
-        give a result that differs from reference_moore on some drawn case."""
+        or for `_marked_product`'s raw rows with their ⊤ redirects, must give
+        a result that differs from reference_moore on some drawn case.  Each
+        mutant gives the (alphabet, initial, accepting, rows) it would pass."""
 
         def permuted(a, b, gamma):
             pairs, rows = product_map(a, b)
@@ -507,11 +543,11 @@ class TestExploredEntry:
             for i, row in enumerate(rows):
                 delta[perm[i]] = tuple(perm[t] for t in row)
             accepting = frozenset(perm[i] for i, (q, r) in enumerate(pairs) if q in a.accepting)
-            return RegularLanguage(a.alphabet, 0, accepting, delta)
+            return a.alphabet, 0, accepting, delta
 
         def marked(a, b, gamma):
             with monkeypatch.context() as m:
-                m.setattr(RegularLanguage, "canonical", lambda self: self)
+                m.setattr(hyperc.receptive, "_canonicalize", lambda *raw: raw)
                 return miss_ext(a, b, gamma)
 
         cases = st.tuples(raw_dfa_pairs(max_states=10), st.sets(st.sampled_from("abcd")))
@@ -520,8 +556,8 @@ class TestExploredEntry:
             def caught(case, mutant=mutant):
                 (a, b), gamma = case
                 raw = mutant(a, b, gamma & set(a.alphabet.symbols))
-                c = _canonicalize(raw, explored=True)
-                return (c.accepting, c.delta) != reference_moore(raw)
+                c = _canonicalize(*raw, explored=True)
+                return (c.accepting, c.delta) != reference_moore(completed(*raw))
 
             # No shrinking: any case found is enough.
             quick = settings(max_examples=500, database=None, derandomize=True, phases=[Phase.generate])
