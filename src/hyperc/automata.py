@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract
 from .errors import LimitExceeded, SignatureMismatch, ValidationError
-from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, close_backward, state_cap
+from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, _table_rows, close_backward, state_cap
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,6 @@ class InterfaceAutomaton:
     def n_states(self) -> int:
         return len(self.state_names)
 
-    def successor(self, state: int, symbol: str) -> int | None:
-        return self.trans[state][self.io.alphabet.index(symbol)]
-
 
 def make(
     io: IoSignature,
@@ -55,26 +52,20 @@ def make(
     initial: str,
     transitions: Mapping[tuple[str, str], str] | Iterable[tuple[str, str, str]],
 ) -> InterfaceAutomaton:
-    """Build from named states and partial (state, symbol) → state triples,
-    keeping only states reachable from the initial one (BFS order)."""
+    """Build from named states and partial (state, symbol) → state triples, read
+    by `lang._table_rows` as a document's are, keeping only states reachable
+    from the initial one (BFS order)."""
     names = list(state_names)
     if initial not in names:
         raise ValidationError(f"unknown initial state {initial!r}")
-    rows: dict[str, list[str | None]] = {s: [None] * len(io.alphabet) for s in names}
-    if len(rows) != len(names):
+    pos = {s: k for k, s in enumerate(names)}
+    if len(pos) != len(names):
         raise ValidationError("state names must be distinct")
     if isinstance(transitions, Mapping):
         transitions = [(src, sym, dst) for (src, sym), dst in transitions.items()]
-    for entry in transitions:
-        src, sym, dst = entry
-        if src not in rows or dst not in rows:
-            raise ValidationError(f"unknown state in transition {entry!r}")
-        k = io.alphabet.index(sym)
-        if rows[src][k] is not None:
-            raise ValidationError(f"nondeterministic transitions from {src!r} on {sym!r}")
-        rows[src][k] = dst
-    order, trans = _explore(initial, rows.__getitem__, "interface-automaton ingestion", (len(names),))
-    return InterfaceAutomaton(io, tuple(order), 0, tuple(trans))
+    rows = _table_rows(io.alphabet, pos, transitions)
+    order, trans = _explore(pos[initial], rows.__getitem__, "interface-automaton ingestion", (len(names),))
+    return InterfaceAutomaton(io, tuple(names[q] for q in order), 0, tuple(trans))
 
 
 def language(a: InterfaceAutomaton) -> RegularLanguage:

@@ -224,9 +224,6 @@ class ConicCompset:
     def is_empty(self) -> bool:
         return not self.maximals
 
-    def components(self) -> tuple[Component, ...]:
-        return tuple(Component(self.universe, m) for m in self.maximals)
-
     def contains(self, c: Component | int) -> bool:
         m = c.mask if isinstance(c, Component) else c
         return any(m & ~mx == 0 for mx in self.maximals)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DocumentError, HypercError
 
@@ -82,27 +82,10 @@ def _triples(doc: dict, what: str):
         yield entry
 
 
-def _rows(doc: dict, alphabet: Alphabet, pos: dict[str, int], what: str) -> list[list[int | None]]:
-    """The partial transition function rows[state][symbol] of a transition-table
-    document, by position; None where a document lists no transition."""
-    rows: list[list[int | None]] = [[None] * len(alphabet) for _ in pos]
-    for entry in _triples(doc, what):
-        src, sym, dst = entry
-        if src not in pos or dst not in pos:
-            raise DocumentError(f"unknown state in transition {entry!r}")
-        if sym not in alphabet:
-            raise DocumentError(f"unknown symbol {sym!r}")
-        k = alphabet.index(sym)
-        if rows[pos[src]][k] is not None:
-            raise DocumentError(f"nondeterministic transitions from {src!r} on {sym!r}")
-        rows[pos[src]][k] = pos[dst]
-    return rows
-
-
 def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
     """The canonical form of a language document; with auto_trap, a missing
     transition goes to a rejecting sink."""
-    from .lang import _canonicalize
+    from .lang import _canonicalize, _table_rows
 
     alphabet = parse_alphabet(doc)
     _, pos, initial = _states(doc, "language")
@@ -110,26 +93,35 @@ def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
     for s in accepting:
         if s not in pos:
             raise DocumentError(f"unknown accepting state {s!r}")
-    rows = _rows(doc, alphabet, pos, "language")
+    try:
+        rows = _table_rows(alphabet, pos, _triples(doc, "language"))
+    except HypercError as err:
+        raise DocumentError(str(err)) from None
     if not auto_trap and any(None in row for row in rows):
         raise DocumentError("partial transition function (auto-trap disabled)")
     return _canonicalize(alphabet, pos[initial], {pos[s] for s in accepting}, rows)
 
 
+def _table_doc(alphabet: Alphabet, names: Sequence[str], initial: int, rows: Sequence[Sequence[int | None]]) -> dict:
+    """The transition-table document of rows[state][symbol] over the state
+    `names`: one [state, symbol, state] entry per transition that is not None."""
+    return {
+        "alphabet": list(alphabet.symbols),
+        "states": list(names),
+        "initial": names[initial],
+        "transitions": [
+            [names[q], sym, names[t]]
+            for q, row in enumerate(rows)
+            for sym, t in zip(alphabet.symbols, row)
+            if t is not None
+        ],
+    }
+
+
 def language_doc(lang: RegularLanguage) -> dict:
     c = lang.canonical()
     names = [f"s{k}" for k in range(c.n_states)]
-    return {
-        "alphabet": list(c.alphabet.symbols),
-        "states": names,
-        "initial": names[0],
-        "accepting": [names[q] for q in sorted(c.accepting)],
-        "transitions": [
-            [names[q], sym, names[c.delta[q][k]]]
-            for q in range(c.n_states)
-            for k, sym in enumerate(c.alphabet.symbols)
-        ],
-    }
+    return {**_table_doc(c.alphabet, names, c.initial, c.delta), "accepting": [names[q] for q in sorted(c.accepting)]}
 
 
 def _inputs_of(doc: dict, alphabet: Alphabet, what: str) -> frozenset[str]:
@@ -201,19 +193,8 @@ def parse_ia(doc: dict) -> InterfaceAutomaton:
 
 
 def ia_doc(a: InterfaceAutomaton) -> dict:
-    alphabet = a.io.alphabet
-    return {
-        "alphabet": list(alphabet.symbols),
-        "inputs": [s for s in alphabet.symbols if s in a.io.inputs],
-        "states": list(a.state_names),
-        "initial": a.state_names[a.initial],
-        "transitions": [
-            [a.state_names[q], sym, a.state_names[a.trans[q][k]]]
-            for q in range(a.n_states)
-            for k, sym in enumerate(alphabet.symbols)
-            if a.trans[q][k] is not None
-        ],
-    }
+    doc = _table_doc(a.io.alphabet, a.state_names, a.initial, a.trans)
+    return {**doc, "inputs": _sorted_symbols(a.io, a.io.inputs)}
 
 
 # -- behavioral bundles -----------------------------------------------------------------

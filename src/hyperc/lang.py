@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch
+from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch, ValidationError
 
 Word = tuple[str, ...]
 
@@ -270,6 +270,24 @@ def from_words(alphabet: Alphabet, words: Iterable[Word]) -> RegularLanguage:
         accepting.add(q)
     symbols = range(len(alphabet))
     return _canonicalize(alphabet, 0, accepting, [tuple(map(row.get, symbols)) for row in children])
+
+
+def _table_rows(alphabet: Alphabet, pos: dict[str, int], entries: Iterable) -> list[list[int | None]]:
+    """rows[state][symbol], by position, from a transition table's (state,
+    symbol, state) entries over the named states `pos`; None where none is given.
+    The one check of a table's entries, for documents and `automata.make`: an
+    unknown state or nondeterminism raises ValidationError naming the entry as
+    given, an unknown symbol AlphabetMismatch."""
+    rows: list[list[int | None]] = [[None] * len(alphabet) for _ in pos]
+    for entry in entries:
+        src, sym, dst = entry
+        if src not in pos or dst not in pos:
+            raise ValidationError(f"unknown state in transition {entry!r}")
+        row, k = rows[pos[src]], alphabet.index(sym)
+        if row[k] is not None:
+            raise ValidationError(f"nondeterministic transitions from {src!r} on {sym!r}")
+        row[k] = pos[dst]
+    return rows
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -528,13 +546,13 @@ def is_receptive(lang: RegularLanguage, inputs: Iterable[str]) -> bool:
     return all(c.delta[q][k] in c.accepting for q in c.accepting for k in idx)
 
 
-def enumerate_words(lang: RegularLanguage, max_len: int, limit: int = MAX_ENUM_LEN) -> list[Word]:
+def enumerate_words(lang: RegularLanguage, max_len: int) -> list[Word]:
     """Members of L up to max_len, in length-then-lexicographic order; more
     than MAX_ENUM_WORDS members raise LimitExceeded before any is listed."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if max_len > limit:
-        raise LimitExceeded(f"enumeration length {max_len} exceeds limit {limit}")
+    if max_len > MAX_ENUM_LEN:
+        raise LimitExceeded(f"enumeration length {max_len} exceeds limit {MAX_ENUM_LEN}")
     symbols = lang.alphabet.symbols
     delta = lang.delta
     # count[r][q]: the number of words of length exactly r accepted from q.

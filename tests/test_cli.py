@@ -431,6 +431,49 @@ class TestRobustness:
         check()
 
 
+#: The verbs whose flags name symbols, with the documents they read.
+SYMBOL_FLAG_VERBS = {
+    "concat-class": (("istar.json",), ("--gamma",)),
+    "missext": (("istar.json", "contains_o.json"), ("--gamma",)),
+    "unc": (("l_union.json", "sigma.json"), ("--gamma", "--delta")),
+    "embed": (("rec_istar.json",), ("--inputs",)),
+}
+#: Comma-separated symbol lists with unknown symbols, empty items and stray commas.
+_SYMBOL_TEXT = st.lists(st.sampled_from(["i", "o", "z", "", " i", "i,,o"]), max_size=4).map(",".join)
+_ORACLE_FLAG_VALUES = {"--cases": (-1, 0, 1, 2), "--max-len": (-1, 0, 3, 9), "--max-states": (-1, 0, 1, 3, 10001)}
+
+
+@st.composite
+def flag_argv(draw) -> list[str]:
+    """A CLI call whose flag values come from fixed sets, invalid values included."""
+    family = draw(st.sampled_from(("symbols", "enumerate", "oracle")))
+    if family == "symbols":
+        verb = draw(st.sampled_from(sorted(SYMBOL_FLAG_VERBS)))
+        docs, flags = SYMBOL_FLAG_VERBS[verb]
+        return ["lang", verb, *map(fx, docs), *(x for flag in flags for x in (flag, draw(_SYMBOL_TEXT)))]
+    if family == "enumerate":
+        return ["lang", "enumerate", fx("contains_o.json"), "--max-len", str(draw(st.sampled_from((-1, 0, 4, 8, 9))))]
+    argv = ["oracle", draw(st.sampled_from(sorted(hyperc.oracle.ORACLE_KINDS)))]
+    for flag, values in _ORACLE_FLAG_VALUES.items():
+        argv += [flag, str(draw(st.sampled_from(values)))]
+    return argv
+
+
+class TestFlagValues:
+    def test_flag_values_exit_cleanly(self, capsys):
+        """Any flag value gives an answer (exit 0 or 1) or exit 2 with
+        `error: ...`, never a traceback."""
+
+        @settings(max_examples=50, deadline=None, database=None)
+        @given(argv=flag_argv())
+        def check(argv):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1) or (code == 2 and err.startswith("error:")), (argv, err)
+
+        check()
+
+
 class TestStateCap:
     @pytest.mark.parametrize(
         "argv",

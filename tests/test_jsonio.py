@@ -6,8 +6,10 @@ import pytest
 
 from conftest import lang_of
 from hyperc import jsonio
+from hyperc.automata import make
 from hyperc.behavioral import BehavioralHypercontract, ConicCompset, Universe
-from hyperc.errors import DocumentError, ValidationError
+from hyperc.errors import AlphabetMismatch, DocumentError, ValidationError
+from hyperc.lang import Alphabet, IoSignature
 
 
 def istar_doc(partial: bool = False) -> dict:
@@ -127,18 +129,27 @@ class TestIaDocs:
         ],
     )
     def test_fault_messages(self, entry, message):
-        # The triples go to `automata.make` as read, so it names a bad entry
-        # as the document lists it.
-        doc = {
+        # One reader checks the entries of every transition table, so a
+        # language document, an interface-automaton document and `make` name
+        # a bad entry alike, as it was given: a list, or a tuple from Python.
+        table = {
             "alphabet": ["i", "o"],
-            "inputs": ["i"],
             "states": ["p", "q"],
             "initial": "p",
             "transitions": [["p", "i", "q"], entry, ["q", "o", "p"]],
         }
-        with pytest.raises(DocumentError) as info:
-            jsonio.parse_ia(doc)
-        assert str(info.value) == message
+        for parse, doc in [
+            (jsonio.parse_language, {**table, "accepting": ["p"]}),
+            (jsonio.parse_ia, {**table, "inputs": ["i"]}),
+        ]:
+            with pytest.raises(DocumentError) as info:
+                parse(doc)
+            assert str(info.value) == message
+        io = IoSignature(Alphabet(("i", "o")), frozenset({"i"}))
+        error = AlphabetMismatch if message.startswith("unknown symbol") else ValidationError
+        with pytest.raises(error) as info:
+            make(io, table["states"], "p", [tuple(t) for t in table["transitions"]])
+        assert str(info.value) == message.replace(repr(entry), repr(tuple(entry)))
 
 
 class TestBehavioralDocs:

@@ -675,7 +675,7 @@ class TestEnumerate:
         assert enumerate_words(iostar, 2) == [("o",), ("i", "o"), ("o", "i"), ("o", "o")]
 
     def test_limit(self, istar):
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(LimitExceeded, match="^enumeration length 9 exceeds limit 8$"):
             enumerate_words(istar, 9)
         with pytest.raises(ValueError):
             enumerate_words(istar, -1)
