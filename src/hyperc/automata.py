@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract
-from .errors import LimitExceeded, SignatureMismatch, ValidationError
-from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, _table_rows, close_backward, state_cap
+from .errors import SignatureMismatch, ValidationError
+from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, _table_rows, close_backward
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,6 @@ def refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
     inputs) is reachable over the moves both enable; the search stops at one."""
     if a1.io != a2.io:
         raise SignatureMismatch("refinement needs identical io signatures")
-    n1, n2 = a1.n_states, a2.n_states
-    cap = state_cap()
-    if n1 * n2 > cap:
-        raise LimitExceeded(
-            f"refinement relation of {n1}×{n2} pairs exceeds state cap {cap} (HYPERC_MAX_STATES)"
-        )
     is_input = [s in a1.io.inputs for s in a1.io.alphabet.symbols]
     t1s, t2s = a1.trans, a2.trans
 
@@ -112,7 +106,8 @@ def refines(a1: InterfaceAutomaton, a2: InterfaceAutomaton) -> bool:
         return False
 
     pairs, rows = _explore(
-        (a1.initial, a2.initial), _joint_moves(a1, a2), "interface-automaton refinement", (n1, n2), stop=stuck
+        (a1.initial, a2.initial), _joint_moves(a1, a2),
+        "interface-automaton refinement", (a1.n_states, a2.n_states), stop=stuck,
     )
     return len(rows) == len(pairs)
 

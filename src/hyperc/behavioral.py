@@ -11,7 +11,7 @@ the contract operations run on hypercontracts over either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, UniverseTooLarge
 
@@ -83,10 +83,6 @@ class Component:
     @classmethod
     def from_behaviors(cls, universe: Universe, behaviors: Iterable[str]) -> "Component":
         return cls(universe, universe.mask_of(behaviors))
-
-    @classmethod
-    def from_predicate(cls, universe: Universe, pred: Callable[[str], bool]) -> "Component":
-        return cls(universe, universe.mask_of(b for b in universe.behaviors if pred(b)))
 
     def behaviors(self) -> tuple[str, ...]:
         return self.universe.names_of(self.mask)
@@ -253,6 +249,7 @@ class ConicCompset:
         )
 
     def to_general(self) -> "GeneralCompset":
+        _check_general_mode(self.universe)  # before listing up to 2^64 submasks
         members = set()
         for m in self.maximals:
             members.update(_submasks(m))
@@ -260,6 +257,11 @@ class ConicCompset:
 
 
 # -- general mode --------------------------------------------------------------
+
+
+def _check_general_mode(universe: Universe) -> None:
+    if universe.size > GENERAL_MODE_MAX:
+        raise UniverseTooLarge(f"universe too large for general mode (> {GENERAL_MODE_MAX} behaviors)")
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,7 @@ class GeneralCompset:
     members: frozenset[int]
 
     def __post_init__(self):
-        if self.universe.size > GENERAL_MODE_MAX:
-            raise UniverseTooLarge(
-                f"universe too large for general mode (> {GENERAL_MODE_MAX} behaviors)"
-            )
+        _check_general_mode(self.universe)
         object.__setattr__(self, "members", frozenset(self.members))
         full = self.universe.full_mask
         if any(m & ~full for m in self.members):
@@ -319,14 +318,6 @@ class GeneralCompset:
         )
         return GeneralCompset(self.universe, out)
 
-    def is_downward_closed(self) -> bool:
-        return all(
-            (m & ~(1 << k)) in self.members
-            for m in self.members
-            for k in range(self.universe.size)
-            if m >> k & 1
-        )
-
     def to_conic(self) -> ConicCompset:
         """The antichain of maximal members: the counterpart of `ConicCompset.to_general`."""
         return ConicCompset._trusted(self.universe, normalize_masks(self.members))
@@ -342,17 +333,18 @@ class ConvexityReport:
         return self.convex and self.coconvex
 
 
-def convexity(h: GeneralCompset) -> ConvexityReport:
-    """Literal checks: H convex iff H×H ≤ H, co-convex iff H ≤ H×H."""
+def convexity(h: ConicCompset | GeneralCompset) -> ConvexityReport:
+    """Literal checks: H convex iff H×H ≤ H, co-convex iff H ≤ H×H, on either
+    representation (a conic compset is downward closed, so always flat)."""
     squared = h.compose(h)
     return ConvexityReport(convex=squared.leq(h), coconvex=h.leq(squared))
 
 
-def is_saturated(env: GeneralCompset, closed: GeneralCompset) -> bool:
-    """Fixpoint condition E = S / (S / E): the environments are as large as
-    possible without shrinking the implementations."""
+def is_saturated(env: ConicCompset | GeneralCompset, closed: ConicCompset | GeneralCompset) -> bool:
+    """Fixpoint condition E = S / (S / E), on either representation: the
+    environments are as large as possible without shrinking the implementations."""
     _check_universe(env, closed)
-    return closed.quotient(closed.quotient(env)).members == env.members
+    return closed.quotient(closed.quotient(env)) == env
 
 
 # -- hypercontracts --------------------------------------------------------------
@@ -411,7 +403,8 @@ def contract_join(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> Be
 
 def strong_merge_general(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
     """Strong merge: environments shared by both viewpoints, closed systems
-    conjoined, implementations re-derived by quotient."""
+    conjoined, implementations re-derived by quotient.  It runs on either
+    representation; only AG contracts have a closed form (`ag_merge_strong`)."""
     env = c.env.meet(c2.env)
     closed = c.env.compose(c.impl).meet(c2.env.compose(c2.impl))
     return BehavioralHypercontract(env, closed.quotient(env))

@@ -175,21 +175,18 @@ def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
     return _general(contract_op, ca, cb) if general else contract_op(ca, cb)
 
 
-def _beh_pair(kind: str, same_op: str, contract_op: str | None, a: _Named, b: _Named, general: bool = False):
-    """`same_op` on two values of `kind`, else `contract_op` on both names read
-    as contracts; a `general` contract_op runs in the general-mode engine."""
+def _beh_pair(kind: str, same_op: str, contract_op: str | None, a: _Named, b: _Named):
+    """`same_op` on two values of `kind`, else `contract_op` on both names read as contracts."""
     if a.kind == b.kind == kind:
         return _lib(same_op)(a.value, b.value)
     if contract_op is None:
         raise HypercError("ag-compose expects two assume-guarantee contract names")
-    operands = _as_contract(a), _as_contract(b)
-    return _general(_lib(contract_op), *operands) if general else _lib(contract_op)(*operands)
+    return _lib(contract_op)(_as_contract(a), _as_contract(b))
 
 
 def _beh_saturated(named: _Named) -> bool:
     c = _as_contract(named)
-    env = c.env.to_general()
-    return _lib("behavioral.is_saturated")(env, env.compose(c.impl.to_general()))
+    return _lib("behavioral.is_saturated")(c.env, c.env.compose(c.impl))
 
 
 # -- the verb table -------------------------------------------------------------------------
@@ -232,12 +229,6 @@ _ORACLE_FLAGS = (
     Flag("--max-len", {"type": int, "default": 6}),
     Flag("--max-states", {"type": int, "default": 5}, echo=False),
 )
-
-
-def _beh(operations: tuple[str, ...], names: int, handler: Callable) -> Verb:
-    """A verb on a behavioral bundle whose handler ignores --general (every
-    bundle verb accepts it; only the lattice verbs read it)."""
-    return Verb(operations, "B", lambda *named, general: handler(*named), _GENERAL, names)
 
 
 def _beh_lattice_verb(op: str) -> Verb:
@@ -315,36 +306,36 @@ VERBS: dict[str, Verb] = {
     "ia language": Verb(("automata.language",), "A"),
     "ia to-contract": Verb(("automata.to_contract",), "A"),
     **{f"beh {op}": _beh_lattice_verb(op) for op in ("compose", "quotient", "meet", "join")},
-    "beh refines": _beh(
-        ("behavioral.ConicCompset.leq", "behavioral.contract_refines"), 2,
-        partial(_beh_pair, "compset", "behavioral.ConicCompset.leq", "behavioral.contract_refines"),
+    "beh refines": Verb(
+        ("behavioral.ConicCompset.leq", "behavioral.contract_refines"), "B",
+        partial(_beh_pair, "compset", "behavioral.ConicCompset.leq", "behavioral.contract_refines"), names=2,
     ),
-    "beh merge-weak": _beh(
-        ("behavioral.ag_merge_weak",), 2,
-        partial(_beh_pair, "ag", "behavioral.ag_merge_weak", "behavioral.contract_meet"),
+    "beh merge-weak": Verb(
+        ("behavioral.ag_merge_weak",), "B",
+        partial(_beh_pair, "ag", "behavioral.ag_merge_weak", "behavioral.contract_meet"), names=2,
     ),
-    # The strong merge on raw hypercontracts has no closed form; it is
-    # evaluated by the general-mode engine on tiny universes.
-    "beh merge-strong": _beh(
-        ("behavioral.ag_merge_strong", "behavioral.strong_merge_general"), 2,
-        partial(
-            _beh_pair, "ag", "behavioral.ag_merge_strong", "behavioral.strong_merge_general", general=True
-        ),
+    # The strong merge on raw hypercontracts has no closed form;
+    # strong_merge_general runs on either representation, here the conic one.
+    "beh merge-strong": Verb(
+        ("behavioral.ag_merge_strong", "behavioral.strong_merge_general"), "B",
+        partial(_beh_pair, "ag", "behavioral.ag_merge_strong", "behavioral.strong_merge_general"), names=2,
     ),
-    "beh ag-compose": _beh(
-        ("behavioral.ag_compose",), 2, partial(_beh_pair, "ag", "behavioral.ag_compose", None)
+    "beh ag-compose": Verb(
+        ("behavioral.ag_compose",), "B", partial(_beh_pair, "ag", "behavioral.ag_compose", None), names=2
     ),
-    "beh normalize": _beh(
-        ("behavioral.ConicCompset.from_components",), 1, lambda h: _expect(h, "compset", "a compset")
+    "beh normalize": Verb(
+        ("behavioral.ConicCompset.from_components",), "B", lambda h: _expect(h, "compset", "a compset"),
+        names=1,
     ),
-    "beh saturated": _beh(("behavioral.is_saturated",), 1, _beh_saturated),
-    "beh convexity": _beh(
-        ("behavioral.convexity",), 1,
-        lambda h: _lib("behavioral.convexity")(_expect(h, "compset", "a compset").to_general()),
+    "beh saturated": Verb(("behavioral.is_saturated",), "B", _beh_saturated, names=1),
+    "beh convexity": Verb(
+        ("behavioral.convexity",), "B",
+        lambda h: _lib("behavioral.convexity")(_expect(h, "compset", "a compset")), names=1,
     ),
-    "beh ag-contract": _beh(
-        ("behavioral.ag_to_contract",), 1,
+    "beh ag-contract": Verb(
+        ("behavioral.ag_to_contract",), "B",
         lambda ag: _lib("behavioral.ag_to_contract")(_expect(ag, "ag", "an assume-guarantee contract")),
+        names=1,
     ),
     **{
         f"oracle {kind}": Verb(tuple(f"oracle.{fn}" for fn in fns), "", partial(_oracle, kind), _ORACLE_FLAGS)

@@ -156,17 +156,20 @@ class RegularLanguage:
 
     @classmethod
     def _trusted(
-        cls, alphabet: Alphabet, initial: int, accepting: frozenset[int], delta: tuple[tuple[int, ...], ...]
+        cls, alphabet: Alphabet, accepting: frozenset[int], delta: tuple[tuple[int, ...], ...]
     ) -> "RegularLanguage":
-        """Trusted constructor for automata built in this module: the fields
-        are stored as given (a frozenset and a tuple of tuples, total and in
-        range), without the copies and checks of the public constructor.
-        Other modules hand their rows to `_canonicalize` instead."""
+        """Trusted constructor of a canonical form built in this module: the
+        fields are stored as given (a frozenset and a tuple of tuples, minimal,
+        in canonical numbering from the initial state 0), without the copies
+        and checks of the public constructor, and the result is marked as its
+        own canonical form (a flag, as a self-reference is a cycle).  Other
+        modules hand their rows to `_canonicalize` instead."""
         self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "initial", 0)
         object.__setattr__(self, "accepting", accepting)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_canon", True)
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -226,7 +229,7 @@ class RegularLanguage:
         """Flipping F keeps the canonical form minimal and its numbering canonical."""
         c = self.canonical()
         flipped = frozenset(range(c.n_states)) - c.accepting
-        return _as_canonical(RegularLanguage._trusted(c.alphabet, 0, flipped, c.delta))
+        return RegularLanguage._trusted(c.alphabet, flipped, c.delta)
 
     def union(self, other: "RegularLanguage") -> "RegularLanguage":
         return _binary(self, other, lambda a, b: a or b, "union")
@@ -242,11 +245,11 @@ class RegularLanguage:
 
 
 def empty_language(alphabet: Alphabet) -> RegularLanguage:
-    return _as_canonical(RegularLanguage._trusted(alphabet, 0, frozenset(), ((0,) * len(alphabet),)))
+    return RegularLanguage._trusted(alphabet, frozenset(), ((0,) * len(alphabet),))
 
 
 def sigma_star(alphabet: Alphabet) -> RegularLanguage:
-    return _as_canonical(RegularLanguage._trusted(alphabet, 0, frozenset({0}), ((0,) * len(alphabet),)))
+    return RegularLanguage._trusted(alphabet, frozenset({0}), ((0,) * len(alphabet),))
 
 
 def star_of(alphabet: Alphabet, symbols: Iterable[str]) -> RegularLanguage:
@@ -338,7 +341,7 @@ def _canonicalize(
             break
         nblocks = len(ids)
     if explored and nblocks == n:
-        return _as_canonical(RegularLanguage._trusted(alphabet, 0, accepting, tuple(rows)))
+        return RegularLanguage._trusted(alphabet, accepting, tuple(rows))
     # The stable partition is a congruence, so any member represents its block;
     # BFS over blocks from the initial one drops the unreachable states and
     # fixes the canonical numbering, reps[j] the block numbered j.
@@ -354,13 +357,7 @@ def _canonicalize(
     delta = tuple(zip(*[[idx[block[col[i]]] for i in reps] for col in cols]))
     # Numbers taken from idx are the int objects the rows already hold.
     final = frozenset(j for b, j in idx.items() if rep[b] in accepting)
-    return _as_canonical(RegularLanguage._trusted(alphabet, 0, final, delta))
-
-
-def _as_canonical(lang: RegularLanguage) -> RegularLanguage:
-    """Mark `lang` as its own canonical form: a flag, as a self-reference is a cycle."""
-    object.__setattr__(lang, "_canon", True)
-    return lang
+    return RegularLanguage._trusted(alphabet, final, delta)
 
 
 # -- products ---------------------------------------------------------------

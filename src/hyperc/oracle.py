@@ -160,12 +160,6 @@ def random_ia(
     return automata.make(io, names, names[0], transitions)
 
 
-def random_conic(rng: random.Random, universe: Universe, max_k: int = 3) -> ConicCompset:
-    k = rng.randint(0, max_k)
-    masks = [rng.randrange(universe.full_mask + 1) for _ in range(k)]
-    return ConicCompset.from_components(universe, masks)
-
-
 # -- word-tree membership tables ---------------------------------------------------
 
 

@@ -162,8 +162,8 @@ def test_criterion_7_secure_information_flow():
     universe = Universe(tuple("".join(map(str, b)) for b in bits))
 
     def where(pred) -> Component:
-        return Component.from_predicate(
-            universe, lambda name: pred(*(int(ch) for ch in name))
+        return Component.from_behaviors(
+            universe, [name for name in universe.behaviors if pred(*(int(ch) for ch in name))]
         )
 
     failures: list[str] = []

@@ -48,6 +48,15 @@ def conic(*masks: int) -> ConicCompset:
     return ConicCompset.from_components(U4, list(masks))
 
 
+def is_downward_closed(h: GeneralCompset) -> bool:
+    return all(
+        (m & ~(1 << k)) in h.members
+        for m in h.members
+        for k in range(h.universe.size)
+        if m >> k & 1
+    )
+
+
 def general(c: BehavioralHypercontract) -> BehavioralHypercontract:
     """The same contract over the explicit (general) compsets of its downward closures."""
     return BehavioralHypercontract(c.env.to_general(), c.impl.to_general())
@@ -88,7 +97,7 @@ class TestGeneralOps:
         top = GeneralCompset(u, frozenset({u.full_mask}))
         for bits in range(256):
             h = GeneralCompset(u, frozenset(m for m in range(8) if bits >> m & 1))
-            if h.is_downward_closed():
+            if is_downward_closed(h):
                 assert h.quotient(top).members == h.members
 
     def test_meet_join_are_set_ops(self):
@@ -438,7 +447,7 @@ class TestStructuralFacts:
     def test_downward_closed_are_flat(self):
         for bits in range(256):
             h = GeneralCompset(U3, frozenset(m for m in range(8) if bits >> m & 1))
-            if h.is_downward_closed():
+            if is_downward_closed(h):
                 assert convexity(h).flat
 
     def test_mirror_identity_general_b3(self):
@@ -461,6 +470,33 @@ class TestStructuralFacts:
                 )
             c1, c2 = rand_contract(), rand_contract()
             assert general(contract_compose(c1, c2)) == contract_compose(general(c1), general(c2))
+
+
+class TestConicAgainstGeneralEngine:
+    """The structural checks and the strong merge give on conic operands what the
+    general (reference) engine gives on their downward closures."""
+
+    chains = all_antichains(U4)[::7]
+
+    def test_convexity(self):
+        for ms in self.chains:
+            h = ConicCompset(U4, ms)
+            assert convexity(h) == convexity(h.to_general())
+
+    def test_is_saturated(self):
+        for e, s in itertools.product(self.chains, self.chains):
+            env, closed = ConicCompset(U4, e), ConicCompset(U4, s)
+            assert is_saturated(env, closed) == is_saturated(env.to_general(), closed.to_general())
+
+    def test_strong_merge(self):
+        contracts = [
+            BehavioralHypercontract(ConicCompset(U4, e), ConicCompset(U4, i))
+            for e, i in itertools.product(self.chains[::3], self.chains[1::3])
+        ]
+        for c1, c2 in itertools.product(contracts, contracts):
+            reference = strong_merge_general(general(c1), general(c2))
+            expected = BehavioralHypercontract(reference.env.to_conic(), reference.impl.to_conic())
+            assert strong_merge_general(c1, c2) == expected
 
 
 class TestNonInterference:

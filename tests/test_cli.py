@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import hyperc.behavioral
 import hyperc.contracts
+import hyperc.jsonio
 import hyperc.lang
 import hyperc.oracle
 import hyperc.receptive
@@ -285,6 +286,95 @@ class TestBehavioral:
         assert code == 2 and "unknown name" in err
 
 
+def wide_bundle(n: int) -> dict:
+    """A bundle over n behaviors: two contracts, two AG contracts, and the
+    bridge of the second AG contract written out as the contract "bridged2"."""
+    universe = [f"b{k}" for k in range(n)]
+    a2, g2 = universe[::2], universe[1::2] + universe[:1]
+    return {
+        "universe": universe,
+        "components": {
+            "a1": universe[: n // 2], "a2": a2, "g1": [universe[0], universe[1], universe[-1]], "g2": g2,
+            "g2_a2": [b for b in universe if b not in a2 or b in g2],
+        },
+        "compsets": {"h": ["a1", "a2"], "hg": ["g1", "g2"]},
+        "contracts": {
+            "c1": {"env": "h", "impl": ["g1"]},
+            "c2": {"env": ["a1"], "impl": "hg"},
+            "bridged2": {"env": ["a2"], "impl": ["g2_a2"]},
+        },
+        "ag": {"agc1": {"A": "a1", "G": "g1"}, "agc2": {"A": "a2", "G": "g2"}},
+    }
+
+
+def general_contract(c: hyperc.behavioral.BehavioralHypercontract) -> hyperc.behavioral.BehavioralHypercontract:
+    return hyperc.behavioral.BehavioralHypercontract(c.env.to_general(), c.impl.to_general())
+
+
+class TestBehavioralUniverses:
+    """Every `beh` verb but --general takes universes of up to 64 behaviors."""
+
+    @pytest.fixture(params=[9, 64])
+    def bundle(self, request, tmp_path):
+        path = tmp_path / f"beh{request.param}.json"
+        path.write_text(json.dumps(wide_bundle(request.param)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("saturated", "c1"), ("saturated", "c2"), ("saturated", "agc1"),
+            ("convexity", "h"), ("convexity", "hg"),
+            ("merge-strong", "c1", "c2"), ("merge-strong", "agc1", "c2"), ("merge-strong", "c1", "agc2"),
+        ],
+    )
+    def test_answers_past_general_mode(self, capsys, bundle, argv):
+        code, out, err = run(capsys, "beh", argv[0], str(bundle), *argv[1:])
+        assert code in (0, 1) and out and not err
+
+    def test_known_answers(self, capsys, bundle):
+        doc = hyperc.jsonio.parse_behavioral(json.loads(bundle.read_text(encoding="utf-8")))
+        # A conic compset is downward closed, so flat.
+        _, out, _ = run(capsys, "beh", "convexity", str(bundle), "h")
+        assert json.loads(out) == {"convex": True, "coconvex": True, "flat": True}
+        # Bridged AG contracts are saturated, and their strong merge is the bridge of the AG strong merge.
+        assert run(capsys, "beh", "saturated", str(bundle), "agc1")[:2] == (0, "true\n")
+        _, out, _ = run(capsys, "beh", "merge-strong", str(bundle), "agc1", "bridged2")
+        merged = hyperc.behavioral.ag_merge_strong(doc.ag["agc1"], doc.ag["agc2"])
+        assert json.loads(out) == hyperc.jsonio.behavioral_contract_doc(hyperc.behavioral.ag_to_contract(merged))
+
+    def test_nine_behaviors_match_the_general_engine(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "beh9.json"
+        path.write_text(json.dumps(wide_bundle(9)), encoding="utf-8")
+        doc = hyperc.jsonio.parse_behavioral(wide_bundle(9))
+        monkeypatch.setattr(hyperc.behavioral, "GENERAL_MODE_MAX", 9)  # the reference engine, one size up
+        c1, c2 = (general_contract(doc.contracts[name]) for name in ("c1", "c2"))
+        for name, c in (("c1", c1), ("c2", c2)):
+            expected = hyperc.behavioral.is_saturated(c.env, c.env.compose(c.impl))
+            assert run(capsys, "beh", "saturated", str(path), name)[0] == (0 if expected else 1)
+        for name in ("h", "hg"):
+            report = hyperc.behavioral.convexity(doc.compsets[name].to_general())
+            _, out, _ = run(capsys, "beh", "convexity", str(path), name)
+            assert json.loads(out) == {"convex": report.convex, "coconvex": report.coconvex, "flat": report.flat}
+        _, out, _ = run(capsys, "beh", "merge-strong", str(path), "c1", "c2")
+        expected = hyperc.behavioral.strong_merge_general(c1, c2)
+        assert json.loads(out) == hyperc.jsonio.behavioral_contract_doc(expected)
+
+    def test_general_flag_still_capped(self, capsys, bundle):
+        # Refused before the 2^32 members of a 32-behavior maximal are listed.
+        code, out, err = run(capsys, "beh", "compose", str(bundle), "c1", "c2", "--general")
+        assert (code, out) == (2, "")
+        assert err == "error: universe too large for general mode (> 8 behaviors)\n"
+
+    def test_general_flag_only_on_lattice_verbs(self, capsys):
+        general = {name for name, verb in VERBS.items() if any(f.option == "--general" for f in verb.flags)}
+        assert general == {"beh compose", "beh quotient", "beh meet", "beh join"}
+        with pytest.raises(SystemExit) as exit_info:
+            main(["beh", "saturated", fx("beh.json"), "agc1", "--general"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --general" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_single_kind(self, capsys):
         code, out, _ = run(
@@ -511,12 +601,27 @@ class TestStateCap:
         assert (code, out.split()) == (0, ["ε", *symbols])
 
     def test_refinement_relation_at_cap(self, capsys, monkeypatch):
-        # ia_aout has two states, so the relation has four pairs.
-        monkeypatch.setenv("HYPERC_MAX_STATES", "4")
-        assert run(capsys, "ia", "refines", fx("ia_aout.json"), fx("ia_aout.json"))[:2] == (0, "true\n")
+        # The search from (p0, p0) reaches two of the 2×2 state pairs, under the cap.
         monkeypatch.setenv("HYPERC_MAX_STATES", "3")
-        code, _, err = run(capsys, "ia", "refines", fx("ia_aout.json"), fx("ia_aout.json"))
-        assert code == 2 and "2×2 pairs exceeds state cap 3" in err
+        assert run(capsys, "ia", "refines", fx("ia_aout.json"), fx("ia_aout.json"))[:2] == (0, "true\n")
+
+    def test_refinement_search_over_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+        # Output cycles of 2 and 3 states fit the cap alone; together they reach all 6 pairs.
+        paths = []
+        for n in (2, 3):
+            states = [f"s{k}" for k in range(n)]
+            doc = {"alphabet": ["a"], "inputs": [], "states": states, "initial": "s0",
+                   "transitions": [[s, "a", states[(k + 1) % n]] for k, s in enumerate(states)]}
+            paths.append(tmp_path / f"cycle{n}.json")
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setenv("HYPERC_MAX_STATES", "6")
+        assert run(capsys, "ia", "refines", *map(str, paths))[:2] == (0, "true\n")
+        monkeypatch.setenv("HYPERC_MAX_STATES", "3")
+        code, out, err = run(capsys, "ia", "refines", *map(str, paths))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: product exceeds state cap 3 (HYPERC_MAX_STATES) in interface-automaton refinement of 2×3 states\n"
+        )
 
 
 class TestHashSeed:

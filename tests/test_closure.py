@@ -38,7 +38,6 @@ from hyperc.oracle import (
     _compatible_signatures,
     _quotient_operands,
     random_alphabet,
-    random_conic,
     random_dfa,
     random_ia,
     random_prefix_closed,
@@ -49,6 +48,12 @@ from hyperc.receptive import ReceptiveLanguage
 
 CASES = 60
 MAX_STATES = 4
+
+
+def random_conic(rng: random.Random, universe: Universe, max_k: int = 3) -> ConicCompset:
+    k = rng.randint(0, max_k)
+    masks = [rng.randrange(universe.full_mask + 1) for _ in range(k)]
+    return ConicCompset.from_components(universe, masks)
 
 
 def _some(rng: random.Random, symbols) -> frozenset[str]:
