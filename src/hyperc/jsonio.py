@@ -85,10 +85,13 @@ def _triples(doc: dict, what: str):
 def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
     """The canonical form of a language document; with auto_trap, a missing
     transition goes to a rejecting sink."""
-    from .lang import _canonicalize, _table_rows
+    from .lang import _canonicalize, _cap_exceeded, _table_rows, state_cap
 
     alphabet = parse_alphabet(doc)
     _, pos, initial = _states(doc, "language")
+    cap = state_cap()
+    if len(pos) > cap:
+        raise _cap_exceeded(cap, "language ingestion", (len(pos),))
     accepting = _string_list(doc, "accepting", "language")
     for s in accepting:
         if s not in pos:

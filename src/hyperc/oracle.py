@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import automata, contracts
 from .behavioral import ConicCompset, Universe, all_antichains
@@ -146,16 +146,14 @@ def random_prefix_closed(rng: random.Random, alphabet: Alphabet, max_states: int
     return random_receptive(rng, IoSignature(alphabet, frozenset()), max_states).lang
 
 
-def random_ia(
-    rng: random.Random, io: IoSignature, max_states: int, density: float = 0.65
-) -> automata.InterfaceAutomaton:
+def random_ia(rng: random.Random, io: IoSignature, max_states: int) -> automata.InterfaceAutomaton:
     n = rng.randint(1, max_states)
     names = [f"q{k}" for k in range(n)]
     transitions = {
         (names[q], s): names[rng.randrange(n)]
         for q in range(n)
         for s in io.alphabet.symbols
-        if rng.random() < density
+        if rng.random() < 0.65
     }
     return automata.make(io, names, names[0], transitions)
 
@@ -199,10 +197,10 @@ def check_missext_definition(
     gamma: Iterable[str],
     cfg: BoundedCheckConfig,
     candidate: RegularLanguage | None = None,
-    case: int = 0,
 ) -> list[str]:
     """Compare `candidate` (default: the closed form) against the literal
-    reading of MissExt: w = u∘σ∘v with u ∈ L∩L', σ ∈ Γ, u∘σ ∉ L'."""
+    reading of MissExt: w = u∘σ∘v with u ∈ L∩L', σ ∈ Γ, u∘σ ∉ L'.  One fault
+    text per word on which they differ."""
     gset = lang.alphabet.subset(gamma)
     cand = candidate if candidate is not None else miss_ext(lang, lang2, gamma)
     words, members, _ = _word_tables([lang, lang2, cand], lang.alphabet, cfg.max_word_len)
@@ -214,9 +212,7 @@ def check_missext_definition(
         )
         got = members[w][2]
         if expected != got:
-            failures.append(
-                f"FAIL missext case={case} word={word_str(w)} expected={expected} got={got}"
-            )
+            failures.append(f"word={word_str(w)} expected={expected} got={got}")
     return failures
 
 
@@ -227,11 +223,11 @@ def check_unc_definition(
     delta: Iterable[str],
     cfg: BoundedCheckConfig,
     candidate: RegularLanguage | None = None,
-    case: int = 0,
 ) -> list[str]:
     """Compare `candidate` (default: the closed form) against the quantifier
     definition of Unc; the existential over w' ∈ (Γ∪Δ)* is sound because
-    witness paths are explored up to the product state count."""
+    witness paths are explored up to the product state count.  Faults as in
+    `check_missext_definition`."""
     alphabet = lang.alphabet
     gset = alphabet.subset(gamma)
     dset = alphabet.subset(delta)
@@ -277,49 +273,55 @@ def check_unc_definition(
         )
         got = members[w][2]
         if expected != got:
-            failures.append(
-                f"FAIL unc case={case} word={word_str(w)} expected={expected} got={got}"
-            )
+            failures.append(f"word={word_str(w)} expected={expected} got={got}")
     return failures
 
 
 # -- sweeps ---------------------------------------------------------------------------
 
 
-def sweep_missext(cfg: BoundedCheckConfig) -> CheckReport:
+def _sweep(
+    kind: str, cfg: BoundedCheckConfig, case_faults: Callable[[random.Random, dict], Iterator[str]], **notes: int
+) -> CheckReport:
+    """Run `case_faults(rng, notes)` once per case on one seeded generator,
+    giving each fault text it yields the prefix `FAIL <kind> case=<n>`; the
+    cases update `notes` in place."""
     rng = cfg.rng()
-    report = CheckReport("missext", cfg.num_cases)
+    report = CheckReport(kind, cfg.num_cases, notes=notes)
     for case in range(cfg.num_cases):
+        report.failures.extend(f"FAIL {kind} case={case} {fault}" for fault in case_faults(rng, notes))
+    return report
+
+
+def sweep_missext(cfg: BoundedCheckConfig) -> CheckReport:
+    def case_faults(rng, notes):
         alphabet = random_alphabet(rng)
         lang = random_dfa(rng, alphabet, cfg.max_states)
         lang2 = random_dfa(rng, alphabet, cfg.max_states)
         gamma = frozenset(s for s in alphabet.symbols if rng.random() < 0.5)
-        report.failures.extend(check_missext_definition(lang, lang2, gamma, cfg, case=case))
-    return report
+        yield from check_missext_definition(lang, lang2, gamma, cfg)
+
+    return _sweep("missext", cfg, case_faults)
 
 
 def sweep_unc(cfg: BoundedCheckConfig) -> CheckReport:
-    rng = cfg.rng()
-    report = CheckReport("unc", cfg.num_cases)
-    bound = 0
-    for case in range(cfg.num_cases):
+    def case_faults(rng, notes):
         alphabet = random_alphabet(rng)
         lang = random_dfa(rng, alphabet, cfg.max_states)
         lang2 = random_dfa(rng, alphabet, cfg.max_states)
         gamma = frozenset(s for s in alphabet.symbols if rng.random() < 0.5)
         delta = frozenset(s for s in alphabet.symbols if rng.random() < 0.5)
-        bound = max(bound, lang.n_states * lang2.n_states)
-        report.failures.extend(check_unc_definition(lang, lang2, gamma, delta, cfg, case=case))
-    report.notes["witness_state_bound"] = bound
-    return report
+        notes["witness_state_bound"] = max(notes["witness_state_bound"], lang.n_states * lang2.n_states)
+        yield from check_unc_definition(lang, lang2, gamma, delta, cfg)
+
+    return _sweep("unc", cfg, case_faults, witness_state_bound=0)
 
 
 def sweep_exponential(cfg: BoundedCheckConfig) -> CheckReport:
     """Heyting laws: adjunction both ways, closed form = definitional form,
     L ⊆ L'→L, and closure of the result under the validators."""
-    rng = cfg.rng()
-    report = CheckReport("exponential", cfg.num_cases)
-    for case in range(cfg.num_cases):
+
+    def case_faults(rng, notes):
         io = random_signature(rng, random_alphabet(rng))
         target = random_receptive(rng, io, cfg.max_states)
         other = random_receptive(rng, io, cfg.max_states)
@@ -327,25 +329,20 @@ def sweep_exponential(cfg: BoundedCheckConfig) -> CheckReport:
         try:
             exp = exponential(target, other)
             if exp.lang != exponential_definitional(target, other):
-                report.failures.append(
-                    f"FAIL exponential case={case} expected=definitional-form got=closed-form"
-                )
-                continue
+                yield "expected=definitional-form got=closed-form"
+                return
             if not is_subset(target.lang, exp.lang):
-                report.failures.append(
-                    f"FAIL exponential case={case} expected=L⊆(L'→L) got=violation"
-                )
-                continue
+                yield "expected=L⊆(L'→L) got=violation"
+                return
             for name, third in (("probe", probe), ("exp", exp), ("target", target)):
                 lhs = is_subset(meet(third, other).lang, target.lang)
                 rhs = is_subset(third.lang, exp.lang)
                 if lhs != rhs:
-                    report.failures.append(
-                        f"FAIL exponential case={case} word={name} expected={lhs} got={rhs}"
-                    )
+                    yield f"word={name} expected={lhs} got={rhs}"
         except HypercError as err:
-            report.failures.append(f"FAIL exponential case={case} error={err}")
-    return report
+            yield f"error={err}"
+
+    return _sweep("exponential", cfg, case_faults)
 
 
 def _quotient_operands(
@@ -367,28 +364,24 @@ def _quotient_operands(
 
 def sweep_receptive_quotient(cfg: BoundedCheckConfig, samples_per_case: int = 10) -> CheckReport:
     """(L/L') × L' ⊆ L, and the biconditional against sampled third operands."""
-    rng = cfg.rng()
-    report = CheckReport("receptive-quotient", cfg.num_cases)
-    for case in range(cfg.num_cases):
+
+    def case_faults(rng, notes):
         dividend, divisor, io_r = _quotient_operands(rng, cfg)
         try:
             q = quotient(dividend, divisor)
             if not is_subset(compose(q, divisor).lang, dividend.lang):
-                report.failures.append(
-                    f"FAIL receptive-quotient case={case} expected=(L/L')×L'⊆L got=violation"
-                )
-                continue
+                yield "expected=(L/L')×L'⊆L got=violation"
+                return
             for s in range(samples_per_case):
                 third = random_receptive(rng, io_r, cfg.max_states)
                 lhs = is_subset(compose(third, divisor).lang, dividend.lang)
                 rhs = is_subset(third.lang, q.lang)
                 if lhs != rhs:
-                    report.failures.append(
-                        f"FAIL receptive-quotient case={case} word=sample{s} expected={lhs} got={rhs}"
-                    )
+                    yield f"word=sample{s} expected={lhs} got={rhs}"
         except HypercError as err:
-            report.failures.append(f"FAIL receptive-quotient case={case} error={err}")
-    return report
+            yield f"error={err}"
+
+    return _sweep("receptive-quotient", cfg, case_faults)
 
 
 def _compatible_signatures(rng: random.Random, alphabet: Alphabet) -> tuple[IoSignature, IoSignature]:
@@ -403,11 +396,8 @@ def _compatible_signatures(rng: random.Random, alphabet: Alphabet) -> tuple[IoSi
 def sweep_interface_compose(cfg: BoundedCheckConfig) -> CheckReport:
     """Abadi–Lamport soundness of interface composition, commutativity, and the
     reconstruction of E_R as the meet of the two receptive quotients."""
-    rng = cfg.rng()
-    report = CheckReport("interface-compose", cfg.num_cases)
-    skips = 0
-    incompatible = 0
-    for case in range(cfg.num_cases):
+
+    def case_faults(rng, notes):
         alphabet = random_alphabet(rng)
         io1, io2 = _compatible_signatures(rng, alphabet)
         c1 = contracts.from_s(random_prefix_closed(rng, alphabet, cfg.max_states), io1)
@@ -415,18 +405,14 @@ def sweep_interface_compose(cfg: BoundedCheckConfig) -> CheckReport:
         r = contracts.compose(c1, c2)
         swapped = contracts.compose(c2, c1)
         if isinstance(r, contracts.Incompatible) != isinstance(swapped, contracts.Incompatible):
-            report.failures.append(
-                f"FAIL interface-compose case={case} expected=commutative got=asymmetric"
-            )
-            continue
+            yield "expected=commutative got=asymmetric"
+            return
         if isinstance(r, contracts.Incompatible):
-            incompatible += 1
-            continue
-        if not (r.s == swapped.s and r.io == swapped.io):
-            report.failures.append(
-                f"FAIL interface-compose case={case} expected=commutative got=different-composites"
-            )
-            continue
+            notes["incompatible_cases"] += 1
+            return
+        if r != swapped:
+            yield "expected=commutative got=different-composites"
+            return
         checks = (
             ("M×M'⊆M_R", c1.m.intersect(c2.m), r.m),
             ("E_R×M⊆E'", r.e.intersect(c1.m), c2.e),
@@ -434,9 +420,7 @@ def sweep_interface_compose(cfg: BoundedCheckConfig) -> CheckReport:
         )
         for name, small, big in checks:
             if not is_subset(small, big):
-                report.failures.append(
-                    f"FAIL interface-compose case={case} expected={name} got=violation"
-                )
+                yield f"expected={name} got=violation"
         # E_R = (E_{S'}/M_S) ∧ (E_S/M_{S'}) whenever both quotients are defined.
         try:
             q1 = quotient(
@@ -448,23 +432,18 @@ def sweep_interface_compose(cfg: BoundedCheckConfig) -> CheckReport:
                 ReceptiveLanguage(c2.m, io2),
             )
             if q1.lang.intersect(q2.lang) != r.e:
-                report.failures.append(
-                    f"FAIL interface-compose case={case} expected=E_R=quotient-meet got=mismatch"
-                )
+                yield "expected=E_R=quotient-meet got=mismatch"
         except HypercError:
-            skips += 1
-    report.notes["incompatible_cases"] = incompatible
-    report.notes["quotient_cross_check_skips"] = skips
-    return report
+            notes["quotient_cross_check_skips"] += 1
+
+    return _sweep("interface-compose", cfg, case_faults, incompatible_cases=0, quotient_cross_check_skips=0)
 
 
 def sweep_ia_equivalence(cfg: BoundedCheckConfig) -> CheckReport:
     """Interface automata agree with their contracts: the refinement
     biconditional and the commutation of composition with the semantic map."""
-    rng = cfg.rng()
-    report = CheckReport("ia-equivalence", cfg.num_cases)
-    incompatible = 0
-    for case in range(cfg.num_cases):
+
+    def case_faults(rng, notes):
         alphabet = random_alphabet(rng)
         io = random_signature(rng, alphabet)
         a1 = random_ia(rng, io, cfg.max_states)
@@ -472,50 +451,34 @@ def sweep_ia_equivalence(cfg: BoundedCheckConfig) -> CheckReport:
         lhs = automata.refines(a1, a2)
         rhs = contracts.refines(automata.to_contract(a1), automata.to_contract(a2))
         if lhs != rhs:
-            report.failures.append(
-                f"FAIL ia-equivalence case={case} word=refinement expected={lhs} got={rhs}"
-            )
-            continue
+            yield f"word=refinement expected={lhs} got={rhs}"
+            return
         io1, io2 = _compatible_signatures(rng, alphabet)
         b1 = random_ia(rng, io1, cfg.max_states)
         b2 = random_ia(rng, io2, cfg.max_states)
         via_ia = automata.compose(b1, b2)
         via_contract = contracts.compose(automata.to_contract(b1), automata.to_contract(b2))
-        if isinstance(via_ia, contracts.Incompatible) != isinstance(
-            via_contract, contracts.Incompatible
-        ):
-            report.failures.append(
-                f"FAIL ia-equivalence case={case} word=incompatibility "
-                f"expected={isinstance(via_contract, contracts.Incompatible)} "
-                f"got={isinstance(via_ia, contracts.Incompatible)}"
-            )
-            continue
-        if isinstance(via_ia, contracts.Incompatible):
-            incompatible += 1
-            continue
-        mapped = automata.to_contract(via_ia)
-        if not (
-            mapped.s == via_contract.s
-            and mapped.e == via_contract.e
-            and mapped.m == via_contract.m
-            and mapped.io == via_contract.io
-        ):
-            report.failures.append(
-                f"FAIL ia-equivalence case={case} word=composition expected=equal-contracts got=mismatch"
-            )
-    report.notes["incompatible_cases"] = incompatible
-    return report
+        ia_incompatible = isinstance(via_ia, contracts.Incompatible)
+        contract_incompatible = isinstance(via_contract, contracts.Incompatible)
+        if ia_incompatible != contract_incompatible:
+            yield f"word=incompatibility expected={contract_incompatible} got={ia_incompatible}"
+            return
+        if ia_incompatible:
+            notes["incompatible_cases"] += 1
+            return
+        if automata.to_contract(via_ia) != via_contract:
+            yield "word=composition expected=equal-contracts got=mismatch"
+
+    return _sweep("ia-equivalence", cfg, case_faults, incompatible_cases=0)
 
 
 def sweep_conic_quotient(cfg: BoundedCheckConfig) -> CheckReport:
     """Adjunction of the conic quotient, exhaustive over every conic third
     operand of a 4-behavior universe."""
-    rng = cfg.rng()
     universe = Universe(("0", "1", "2", "3"))
     chains = all_antichains(universe)
-    report = CheckReport("conic-quotient", cfg.num_cases)
-    report.notes["third_operands"] = len(chains)
-    for case in range(cfg.num_cases):
+
+    def case_faults(rng, notes):
         h = ConicCompset(universe, rng.choice(chains))
         h2 = ConicCompset(universe, rng.choice(chains))
         q = h.quotient(h2)
@@ -524,21 +487,19 @@ def sweep_conic_quotient(cfg: BoundedCheckConfig) -> CheckReport:
             lhs = x.compose(h2).leq(h)
             rhs = x.leq(q)
             if lhs != rhs:
-                report.failures.append(
-                    f"FAIL conic-quotient case={case} word={ms} expected={lhs} got={rhs}"
-                )
-                break
-    return report
+                yield f"word={ms} expected={lhs} got={rhs}"
+                return
+
+    return _sweep("conic-quotient", cfg, case_faults, third_operands=len(chains))
 
 
 def sweep_conic_ops(cfg: BoundedCheckConfig) -> CheckReport:
     """Conic compose/meet/join/quotient agree with the general-mode engine on
     downward closures over a 4-behavior universe."""
-    rng = cfg.rng()
     universe = Universe(("0", "1", "2", "3"))
     chains = all_antichains(universe)
-    report = CheckReport("conic-ops", cfg.num_cases)
-    for case in range(cfg.num_cases):
+
+    def case_faults(rng, notes):
         h = ConicCompset(universe, rng.choice(chains))
         h2 = ConicCompset(universe, rng.choice(chains))
         hg, hg2 = h.to_general(), h2.to_general()
@@ -549,11 +510,10 @@ def sweep_conic_ops(cfg: BoundedCheckConfig) -> CheckReport:
             ("quotient", h.quotient(h2), hg.quotient(hg2)),
         )
         for name, conic, general in pairs:
-            if conic.to_general().members != general.members:
-                report.failures.append(
-                    f"FAIL conic-ops case={case} word={name} expected=general-engine got=conic"
-                )
-    return report
+            if conic.to_general() != general:
+                yield f"word={name} expected=general-engine got=conic"
+
+    return _sweep("conic-ops", cfg, case_faults)
 
 
 ORACLE_KINDS: dict[str, Callable[[BoundedCheckConfig], CheckReport]] = {

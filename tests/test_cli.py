@@ -565,11 +565,13 @@ class TestFlagValues:
 
 
 class TestStateCap:
+    # The language documents have one state each, so the cap trips in the
+    # concatenation rather than at ingestion.
     @pytest.mark.parametrize(
         "argv",
         [
-            ("lang", "concat-class", "istar.json", "--gamma", "o"),
-            ("lang", "concat-star", "contains_o.json"),
+            ("lang", "concat-class", "sigma.json", "--gamma", "o"),
+            ("lang", "concat-star", "istar_partial.json"),
             ("ia", "compose", "ia_aout.json", "ia_ain.json"),
             ("ia", "refines", "ia_aout.json", "ia_aout.json"),
         ],
@@ -586,6 +588,30 @@ class TestStateCap:
         code, out, err = run(capsys, "ia", "language", fx("ia_aout.json"))
         assert (code, out) == (2, "")
         assert err.startswith("error: product exceeds state cap 1") and "ingestion of 2 states" in err
+
+    @pytest.mark.parametrize(
+        "argv, wrap",
+        [
+            (("lang", "canon"), lambda doc: doc),
+            (("lang", "validate"), lambda doc: {**doc, "inputs": []}),
+            (("iface", "validate"), lambda doc: {"S": doc, "inputs": []}),
+        ],
+        ids=["language", "receptive", "contract"],
+    )
+    def test_language_ingestion_over_cap_exits_2(self, capsys, monkeypatch, tmp_path, argv, wrap):
+        monkeypatch.setenv("HYPERC_MAX_STATES", "3")
+        for n in (3, 4):
+            states = [f"s{k}" for k in range(n)]
+            doc = {"alphabet": ["i"], "states": states, "initial": "s0", "accepting": states,
+                   "transitions": [[s, "i", states[min(k + 1, n - 1)]] for k, s in enumerate(states)]}
+            path = tmp_path / f"chain{n}.json"
+            path.write_text(json.dumps(wrap(doc)), encoding="utf-8")
+            code, out, err = run(capsys, *argv, str(path))
+            if n == 3:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, out) == (2, "")
+                assert err == "error: product exceeds state cap 3 (HYPERC_MAX_STATES) in language ingestion of 4 states\n"
 
     def test_enumeration_over_word_bound_exits_2(self, capsys, tmp_path):
         # Σ* over 12 symbols has 1 + 12 + … + 12⁶ = 3257437 words up to length 6.

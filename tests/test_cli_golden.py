@@ -23,22 +23,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hyperc.oracle import ORACLE_KINDS
 from test_acceptance import CLI_CORPUS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-ORACLE_KINDS = (
-    "missext",
-    "unc",
-    "exponential",
-    "receptive-quotient",
-    "interface-compose",
-    "ia-equivalence",
-    "conic-quotient",
-    "conic-ops",
-)
 
 #: Paths the acceptance corpus does not reach.
 EXTRA_CALLS: tuple[tuple[str, ...], ...] = (

@@ -6,7 +6,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import lang_of
-from hyperc.errors import LimitExceeded
+from hyperc import automata, contracts, oracle, receptive
+from hyperc.behavioral import ConicCompset
+from hyperc.errors import HypercError, LimitExceeded
 from hyperc.lang import Alphabet, IoSignature, concat_symbol_class, sigma_star, star_of
 from hyperc.oracle import (
     ORACLE_KINDS,
@@ -102,6 +104,122 @@ class TestSweeps:
         report = sweep_interface_compose(FAST)
         assert "incompatible_cases" in report.notes
         assert "quotient_cross_check_skips" in report.notes
+
+    def test_notes_without_cases(self):
+        reports = run_all(BoundedCheckConfig(num_cases=0))
+        assert {r.kind: r.notes for r in reports} == {
+            "missext": {},
+            "unc": {"witness_state_bound": 0},
+            "exponential": {},
+            "receptive-quotient": {},
+            "interface-compose": {"incompatible_cases": 0, "quotient_cross_check_skips": 0},
+            "ia-equivalence": {"incompatible_cases": 0},
+            "conic-quotient": {"third_operands": 168},
+            "conic-ops": {},
+        }
+        assert all(r.lines() == [f"PASS {r.kind} cases=0"] for r in reports)
+
+
+def _boom(*_):
+    raise HypercError("boom")
+
+
+def _asymmetric_compose(c1, c2):
+    if sorted(c1.io.inputs) < sorted(c2.io.inputs):
+        return contracts.Incompatible()
+    return _REAL_COMPOSE(c1, c2)
+
+
+_REAL_COMPOSE = contracts.compose
+_REAL_REFINES = automata.refines
+_PINNED = BoundedCheckConfig(max_word_len=4, random_seed=5, num_cases=12, max_states=4)
+_IFACE_NOTES = {"incompatible_cases": 4, "quotient_cross_check_skips": 0}
+
+#: Per corrupted operator, the pinned report summary (first failure line, number
+#: of failures, notes) of every kind that fails, and of the kinds listed with
+#: no failure whose notes the corruption moves.
+_CORRUPTIONS = {
+    "none": (
+        None, None, None,
+        {
+            "unc": (None, 0, {"witness_state_bound": 16}),
+            "interface-compose": (None, 0, _IFACE_NOTES),
+            "ia-equivalence": (None, 0, {"incompatible_cases": 10}),
+            "conic-quotient": (None, 0, {"third_operands": 168}),
+        },
+    ),
+    "miss_ext": (
+        oracle, "miss_ext", lambda l, l2, g: receptive.miss_ext(l, l2, ()),
+        {"missext": ("FAIL missext case=2 word=aba expected=True got=False", 112, {})},
+    ),
+    "unc": (
+        oracle, "unc", lambda l, l2, g, d: receptive.unc(l, l2, (), d),
+        {"unc": ("FAIL unc case=4 word=ε expected=True got=False", 180, {"witness_state_bound": 16})},
+    ),
+    "exponential-wrong": (
+        oracle, "exponential", lambda t, o: receptive.bottom(t.io),
+        {"exponential": ("FAIL exponential case=0 expected=definitional-form got=closed-form", 9, {})},
+    ),
+    "exponential-raises": (
+        oracle, "exponential", _boom,
+        {"exponential": ("FAIL exponential case=0 error=boom", 12, {})},
+    ),
+    "quotient-wrong": (
+        oracle, "quotient", lambda a, b: receptive.bottom(receptive.quotient_signature(a.io, b.io)),
+        {
+            "receptive-quotient": ("FAIL receptive-quotient case=0 word=sample0 expected=True got=False", 48, {}),
+            "interface-compose": ("FAIL interface-compose case=5 expected=E_R=quotient-meet got=mismatch", 2, _IFACE_NOTES),
+        },
+    ),
+    "quotient-raises": (
+        oracle, "quotient", _boom,
+        {
+            "receptive-quotient": ("FAIL receptive-quotient case=0 error=boom", 12, {}),
+            "interface-compose": (None, 0, {"incompatible_cases": 4, "quotient_cross_check_skips": 8}),
+        },
+    ),
+    "contracts.compose": (
+        contracts, "compose", _asymmetric_compose,
+        {
+            "interface-compose": ("FAIL interface-compose case=0 expected=commutative got=asymmetric", 8, _IFACE_NOTES),
+            "ia-equivalence": (
+                "FAIL ia-equivalence case=2 word=incompatibility expected=True got=False", 2, {"incompatible_cases": 10}
+            ),
+        },
+    ),
+    "automata.refines": (
+        automata, "refines", lambda a1, a2: not _REAL_REFINES(a1, a2),
+        {
+            "ia-equivalence": (
+                "FAIL ia-equivalence case=0 word=refinement expected=False got=True", 12, {"incompatible_cases": 0}
+            ),
+        },
+    ),
+    "ConicCompset.quotient": (
+        ConicCompset, "quotient", lambda self, other: self,
+        {
+            "conic-quotient": (
+                "FAIL conic-quotient case=0 word=(2, 5) expected=True got=False", 8, {"third_operands": 168}
+            ),
+            "conic-ops": ("FAIL conic-ops case=0 word=quotient expected=general-engine got=conic", 8, {}),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CORRUPTIONS))
+def test_sweep_reports_pinned(monkeypatch, name):
+    """Each sweep's failure format, the case it first fails on (so its draw
+    order) and its notes, one corrupted operator at a time."""
+    target, attr, corrupt, expected = _CORRUPTIONS[name]
+    if target is not None:
+        monkeypatch.setattr(target, attr, corrupt)
+    got = {
+        r.kind: (r.failures[0] if r.failures else None, len(r.failures), r.notes)
+        for r in run_all(_PINNED)
+        if not r.ok or r.kind in expected
+    }
+    assert got == expected
 
 
 class TestGenerators:

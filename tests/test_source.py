@@ -19,3 +19,37 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name a module reads, including those inside string annotations."""
+    annotations = [
+        node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else node.returns
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    quoted = [
+        ast.parse(node.value, mode="eval")
+        for annotation in annotations
+        if annotation is not None
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    return {node.id for root in (tree, *quoted) for node in ast.walk(root) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_imports():
+    """A name imported and never read is left over from a deletion."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
