@@ -3,43 +3,41 @@ invalid-state pruning, and the semantic map to interface hypercontracts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract
-from .errors import SignatureMismatch, ValidationError
+from .errors import SignatureMismatch, ValidationError, Value
 from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, _table_rows, close_backward
 
 
-@dataclass(frozen=True)
-class InterfaceAutomaton:
+class InterfaceAutomaton(Value):
     """Deterministic partial transition system with input/output actions.
 
     trans[state][symbol_index] is the successor or None; all states are
     reachable from the initial state (enforce via `make`).
     """
 
-    io: IoSignature
-    state_names: tuple[str, ...]
-    initial: int
-    trans: tuple[tuple[int | None, ...], ...]
+    _fields = ("io", "state_names", "initial", "trans")
 
-    def __post_init__(self):
-        object.__setattr__(self, "state_names", tuple(self.state_names))
-        object.__setattr__(self, "trans", tuple(tuple(row) for row in self.trans))
-        n = len(self.state_names)
-        nsym = len(self.io.alphabet)
+    def __init__(
+        self, io: IoSignature, state_names: Iterable[str], initial: int, trans: Iterable[Iterable[int | None]]
+    ):
+        state_names = tuple(state_names)
+        trans = tuple(tuple(row) for row in trans)
+        n = len(state_names)
+        nsym = len(io.alphabet)
         if n == 0:
             raise ValidationError("automaton needs at least one state")
-        if len(set(self.state_names)) != n:
+        if len(set(state_names)) != n:
             raise ValidationError("state names must be distinct")
-        if not 0 <= self.initial < n:
+        if not 0 <= initial < n:
             raise ValidationError("initial state out of range")
-        if len(self.trans) != n:
+        if len(trans) != n:
             raise ValidationError("one transition row per state required")
-        for row in self.trans:
+        for row in trans:
             if len(row) != nsym or not all(t is None or 0 <= t < n for t in row):
                 raise ValidationError("transition targets out of range")
+        vars(self).update(io=io, state_names=state_names, initial=initial, trans=trans)
 
     @property
     def n_states(self) -> int:

@@ -10,10 +10,9 @@ the contract operations run on hypercontracts over either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import LimitExceeded, UniverseTooLarge
+from .errors import LimitExceeded, UniverseTooLarge, Value
 
 MAX_UNIVERSE = 64
 GENERAL_MODE_MAX = 8
@@ -22,23 +21,20 @@ GENERAL_MODE_MAX = 8
 _QUOTIENT_STEP_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Value):
     """Ordered set of behavior labels; components are bitsets over it."""
 
-    behaviors: tuple[str, ...]
+    _fields = ("behaviors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "behaviors", tuple(self.behaviors))
-        if not self.behaviors:
+    def __init__(self, behaviors: Iterable[str]):
+        behaviors = tuple(behaviors)
+        if not behaviors:
             raise UniverseTooLarge("universe must be nonempty")
-        if len(self.behaviors) > MAX_UNIVERSE:
-            raise UniverseTooLarge(
-                f"universe of {len(self.behaviors)} behaviors exceeds the {MAX_UNIVERSE} bound"
-            )
-        if len(set(self.behaviors)) != len(self.behaviors):
+        if len(behaviors) > MAX_UNIVERSE:
+            raise UniverseTooLarge(f"universe of {len(behaviors)} behaviors exceeds the {MAX_UNIVERSE} bound")
+        if len(set(behaviors)) != len(behaviors):
             raise UniverseTooLarge("behavior labels must be distinct")
-        object.__setattr__(self, "_pos", {b: k for k, b in enumerate(self.behaviors)})
+        vars(self).update(behaviors=behaviors, _pos={b: k for k, b in enumerate(behaviors)})
 
     @property
     def size(self) -> int:
@@ -50,7 +46,7 @@ class Universe:
 
     def index(self, behavior: str) -> int:
         try:
-            return self._pos[behavior]  # type: ignore[attr-defined]
+            return self._pos[behavior]
         except KeyError:
             raise ValueError(f"unknown behavior {behavior!r}") from None
 
@@ -69,16 +65,15 @@ def _check_universe(a, b) -> None:
         raise ValueError("universe mismatch")
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """A set of behaviors; composition is ∩ and the quotient is implication."""
 
-    universe: Universe
-    mask: int
+    _fields = ("universe", "mask")
 
-    def __post_init__(self):
-        if self.mask & ~self.universe.full_mask:
+    def __init__(self, universe: Universe, mask: int):
+        if mask & ~universe.full_mask:
             raise ValueError("component leaves its universe")
+        vars(self).update(universe=universe, mask=mask)
 
     @classmethod
     def from_behaviors(cls, universe: Universe, behaviors: Iterable[str]) -> "Component":
@@ -170,30 +165,21 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
-class ConicCompset:
-    """Downward-closed compset represented by its antichain of maximals."""
+class ConicCompset(Value):
+    """Downward-closed compset represented by its antichain of maximals.  This
+    module builds its results with `_trusted`, from a sorted antichain (a tuple)
+    of masks inside the universe."""
 
-    universe: Universe
-    maximals: tuple[int, ...]
+    _fields = ("universe", "maximals")
 
-    def __post_init__(self):
-        object.__setattr__(self, "maximals", tuple(self.maximals))
-        full = self.universe.full_mask
-        if any(m & ~full for m in self.maximals):
+    def __init__(self, universe: Universe, maximals: Iterable[int]):
+        maximals = tuple(maximals)
+        full = universe.full_mask
+        if any(m & ~full for m in maximals):
             raise ValueError("maximal component leaves its universe")
-        if self.maximals != normalize_masks(self.maximals):
+        if maximals != normalize_masks(maximals):
             raise ValueError("maximals must form a sorted antichain")
-
-    @classmethod
-    def _trusted(cls, universe: Universe, maximals: tuple[int, ...]) -> "ConicCompset":
-        """Trusted constructor for compsets built by this module: `maximals`
-        is already a sorted antichain (a tuple) of masks inside the universe,
-        stored as given without re-normalizing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "maximals", maximals)
-        return self
+        vars(self).update(universe=universe, maximals=maximals)
 
     @classmethod
     def from_components(cls, universe: Universe, components: Iterable[Component | int]) -> "ConicCompset":
@@ -264,19 +250,18 @@ def _check_general_mode(universe: Universe) -> None:
         raise UniverseTooLarge(f"universe too large for general mode (> {GENERAL_MODE_MAX} behaviors)")
 
 
-@dataclass(frozen=True)
-class GeneralCompset:
+class GeneralCompset(Value):
     """Explicit set of components; exact but exponential, so tiny universes only."""
 
-    universe: Universe
-    members: frozenset[int]
+    _fields = ("universe", "members")
 
-    def __post_init__(self):
-        _check_general_mode(self.universe)
-        object.__setattr__(self, "members", frozenset(self.members))
-        full = self.universe.full_mask
-        if any(m & ~full for m in self.members):
+    def __init__(self, universe: Universe, members: Iterable[int]):
+        _check_general_mode(universe)
+        members = frozenset(members)
+        full = universe.full_mask
+        if any(m & ~full for m in members):
             raise ValueError("member component leaves its universe")
+        vars(self).update(universe=universe, members=members)
 
     @classmethod
     def from_components(cls, universe: Universe, components: Iterable[Component | int]) -> "GeneralCompset":
@@ -323,10 +308,11 @@ class GeneralCompset:
         return ConicCompset._trusted(self.universe, normalize_masks(self.members))
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    coconvex: bool
+class ConvexityReport(Value):
+    _fields = ("convex", "coconvex")
+
+    def __init__(self, convex: bool, coconvex: bool):
+        vars(self).update(convex=convex, coconvex=coconvex)
 
     @property
     def flat(self) -> bool:
@@ -350,18 +336,17 @@ def is_saturated(env: ConicCompset | GeneralCompset, closed: ConicCompset | Gene
 # -- hypercontracts --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BehavioralHypercontract:
+class BehavioralHypercontract(Value):
     """Pair (environments, implementations) of compsets, both conic or both
     general: the contract_* operations below run on either representation."""
 
-    env: ConicCompset | GeneralCompset
-    impl: ConicCompset | GeneralCompset
+    _fields = ("env", "impl")
 
-    def __post_init__(self):
-        _check_universe(self.env, self.impl)
-        if type(self.env) is not type(self.impl):
+    def __init__(self, env: ConicCompset | GeneralCompset, impl: ConicCompset | GeneralCompset):
+        _check_universe(env, impl)
+        if type(env) is not type(impl):
             raise ValueError("environments and implementations must share one compset representation")
+        vars(self).update(env=env, impl=impl)
 
     @property
     def universe(self) -> Universe:
@@ -413,15 +398,14 @@ def strong_merge_general(c: BehavioralHypercontract, c2: BehavioralHypercontract
 # -- the assume-guarantee bridge ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgContract:
+class AgContract(Value):
     """Assume-guarantee contract: a pair of trace properties (A, G)."""
 
-    assumptions: Component
-    guarantees: Component
+    _fields = ("assumptions", "guarantees")
 
-    def __post_init__(self):
-        _check_universe(self.assumptions, self.guarantees)
+    def __init__(self, assumptions: Component, guarantees: Component):
+        _check_universe(assumptions, guarantees)
+        vars(self).update(assumptions=assumptions, guarantees=guarantees)
 
     @property
     def universe(self) -> Universe:

@@ -37,7 +37,7 @@ def _load(path: str) -> dict:
         raise HypercError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise HypercError(f"{path}: not UTF-8 ({err})") from None
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, too many digits, too deep
         raise HypercError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(doc, dict):
         raise HypercError(f"{path}: document must be a JSON object")

@@ -10,10 +10,9 @@ closed system R is one marked product S×S' (see `receptive`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SignatureMismatch, ValidationError
+from .errors import SignatureMismatch, ValidationError, Value
 from .lang import (
     Alphabet,
     IoSignature,
@@ -30,37 +29,31 @@ from .lang import (
 from .receptive import _marked_product
 
 
-@dataclass(frozen=True)
-class Incompatible:
+class Incompatible(Value):
     """Composition outcome when the joint closed-system language is empty."""
 
-    reason: str = "empty closed-system language"
+    _fields = ("reason",)
+
+    def __init__(self, reason: str = "empty closed-system language"):
+        vars(self).update(reason=reason)
 
 
-@dataclass(frozen=True)
-class InterfaceHypercontract:
-    """Contract (S, io) with derived maximal environment and implementation."""
+class InterfaceHypercontract(Value):
+    """Contract (S, io) with derived maximal environment and implementation.  Operators
+    build theirs with `_trusted`, from a canonical S that is prefix-closed and holds ε."""
 
-    s: RegularLanguage
-    io: IoSignature
+    _fields = ("s", "io")
 
-    def __post_init__(self):
-        if self.s.alphabet != self.io.alphabet:
+    def __init__(self, s: RegularLanguage, io: IoSignature):
+        if s.alphabet != io.alphabet:
             raise SignatureMismatch("S and signature use different alphabets")
-        object.__setattr__(self, "s", self.s.canonical())
-        w = prefix_closure_witness(self.s)
+        s = s.canonical()
+        w = prefix_closure_witness(s)
         if w is not None:
             raise ValidationError(f"S not prefix-closed at witness {word_str(w)}")
-        if not self.s.accepts(()):
+        if not s.accepts(()):
             raise ValidationError("S must contain the empty word")
-
-    @classmethod
-    def _trusted(cls, s: RegularLanguage, io: IoSignature) -> "InterfaceHypercontract":
-        """Trusted constructor for an S already prefix-closed and holding ε."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "s", s.canonical())
-        object.__setattr__(self, "io", io)
-        return self
+        vars(self).update(s=s, io=io)
 
     def _maximal(self, gamma: frozenset[str], op: str) -> RegularLanguage:
         """S ∪ MissExt(S, S, Γ) in one pass over S's rows: S is prefix-closed, so a Γ-edge

@@ -8,7 +8,6 @@ inputs always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DocumentError, HypercError
@@ -203,15 +202,15 @@ def ia_doc(a: InterfaceAutomaton) -> dict:
 # -- behavioral bundles -----------------------------------------------------------------
 
 
-@dataclass
 class BehavioralDocument:
     """Named definitions shared by the behavioral subcommands."""
 
-    universe: Universe
-    components: dict[str, Component] = field(default_factory=dict)
-    compsets: dict[str, ConicCompset] = field(default_factory=dict)
-    contracts: dict[str, BehavioralHypercontract] = field(default_factory=dict)
-    ag: dict[str, AgContract] = field(default_factory=dict)
+    def __init__(self, universe: Universe):
+        self.universe = universe
+        self.components: dict[str, Component] = {}
+        self.compsets: dict[str, ConicCompset] = {}
+        self.contracts: dict[str, BehavioralHypercontract] = {}
+        self.ag: dict[str, AgContract] = {}
 
 
 def _component_from(doc: BehavioralDocument, ref, what: str) -> Component:

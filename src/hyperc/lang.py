@@ -10,11 +10,10 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch, ValidationError
+from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch, ValidationError, Value
 
 Word = tuple[str, ...]
 
@@ -57,28 +56,27 @@ def word_str(word: Word) -> str:
     return ".".join(word)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Ordered list of distinct symbol names; the ordering is canonical."""
 
-    symbols: tuple[str, ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+    def __init__(self, symbols: Iterable[str]):
+        symbols = tuple(symbols)
+        if not symbols:
             raise AlphabetMismatch("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise AlphabetMismatch("alphabet symbols must be distinct")
-        object.__setattr__(self, "_pos", {s: k for k, s in enumerate(self.symbols)})
+        vars(self).update(symbols=symbols, _pos={s: k for k, s in enumerate(symbols)})
 
     def index(self, symbol: str) -> int:
         try:
-            return self._pos[symbol]  # type: ignore[attr-defined]
+            return self._pos[symbol]
         except KeyError:
             raise AlphabetMismatch(f"unknown symbol {symbol!r}") from None
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self._pos  # type: ignore[attr-defined]
+        return symbol in self._pos
 
     def __iter__(self):
         return iter(self.symbols)
@@ -94,15 +92,13 @@ class Alphabet:
         return out
 
 
-@dataclass(frozen=True)
-class IoSignature:
+class IoSignature(Value):
     """Partition of the alphabet into input symbols I and output symbols O."""
 
-    alphabet: Alphabet
-    inputs: frozenset[str]
+    _fields = ("alphabet", "inputs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", self.alphabet.subset(self.inputs))
+    def __init__(self, alphabet: Alphabet, inputs: Iterable[str]):
+        vars(self).update(alphabet=alphabet, inputs=alphabet.subset(inputs))
 
     @property
     def outputs(self) -> frozenset[str]:
@@ -126,33 +122,30 @@ class IoSignature:
         return f"(I={{{ins}}}, O={{{outs}}})"
 
 
-@dataclass(frozen=True, eq=False)
-class RegularLanguage:
+class RegularLanguage(Value):
     """Complete DFA: delta[state][symbol_index] is total, states are 0..n-1.
 
     Instances may be non-minimal; `canonical()` gives the unique minimal
     BFS-numbered form, and equality/hashing go through it.
     """
 
-    alphabet: Alphabet
-    initial: int
-    accepting: frozenset[int]
-    delta: tuple[tuple[int, ...], ...]
+    _fields = ("alphabet", "initial", "accepting", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        n = len(self.delta)
-        nsym = len(self.alphabet)
+    def __init__(self, alphabet: Alphabet, initial: int, accepting: Iterable[int], delta: Iterable[Iterable[int]]):
+        accepting = frozenset(accepting)
+        delta = tuple(tuple(row) for row in delta)
+        n = len(delta)
+        nsym = len(alphabet)
         if n == 0:
             raise ValueError("automaton needs at least one state")
-        if not 0 <= self.initial < n:
+        if not 0 <= initial < n:
             raise ValueError("initial state out of range")
-        if not all(0 <= q < n for q in self.accepting):
+        if not all(0 <= q < n for q in accepting):
             raise ValueError("accepting state out of range")
-        for row in self.delta:
+        for row in delta:
             if len(row) != nsym or not all(0 <= t < n for t in row):
                 raise ValueError("delta must be total with targets in range")
+        vars(self).update(alphabet=alphabet, initial=initial, accepting=accepting, delta=delta)
 
     @classmethod
     def _trusted(
@@ -165,11 +158,7 @@ class RegularLanguage:
         own canonical form (a flag, as a self-reference is a cycle).  Other
         modules hand their rows to `_canonicalize` instead."""
         self = object.__new__(cls)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "initial", 0)
-        object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "_canon", True)
+        vars(self).update(alphabet=alphabet, initial=0, accepting=accepting, delta=delta, _canon=True)
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -200,7 +189,7 @@ class RegularLanguage:
         cached = getattr(self, "_canon", None)
         if cached is None:
             cached = _canonicalize(self.alphabet, self.initial, self.accepting, self.delta)
-            object.__setattr__(self, "_canon", cached)
+            vars(self)["_canon"] = cached
         return self if cached is True else cached
 
     def canonical_key(self) -> tuple:

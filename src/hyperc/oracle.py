@@ -9,7 +9,6 @@ are deterministic given the seed and report line-oriented results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from . import automata, contracts
@@ -42,41 +41,33 @@ from .receptive import (
 MAX_WORD_LEN = 8
 
 
-@dataclass
 class BoundedCheckConfig:
     """Knobs for the bounded checks; word lengths are capped at 8."""
 
-    max_word_len: int = 6
-    random_seed: int = 0
-    num_cases: int = 200
-    max_states: int = 5
-
-    def __post_init__(self):
-        if not 0 <= self.max_word_len <= MAX_WORD_LEN:
-            raise LimitExceeded(
-                f"max_word_len (--max-len) must lie in [0, {MAX_WORD_LEN}], got {self.max_word_len}"
-            )
-        if self.num_cases < 0:
-            raise ValidationError(f"num_cases (--cases) must be nonnegative, got {self.num_cases}")
-        if self.max_states < 1:
-            raise ValidationError(f"max_states (--max-states) must be at least 1, got {self.max_states}")
+    def __init__(self, max_word_len: int = 6, random_seed: int = 0, num_cases: int = 200, max_states: int = 5):
+        if not 0 <= max_word_len <= MAX_WORD_LEN:
+            raise LimitExceeded(f"max_word_len (--max-len) must lie in [0, {MAX_WORD_LEN}], got {max_word_len}")
+        if num_cases < 0:
+            raise ValidationError(f"num_cases (--cases) must be nonnegative, got {num_cases}")
+        if max_states < 1:
+            raise ValidationError(f"max_states (--max-states) must be at least 1, got {max_states}")
         # The generators allocate up to max_states rows before any capped product.
         cap = state_cap()
-        if self.max_states > cap:
-            raise ValidationError(
-                f"max_states (--max-states) must be at most the state cap {cap}, got {self.max_states}"
-            )
+        if max_states > cap:
+            raise ValidationError(f"max_states (--max-states) must be at most the state cap {cap}, got {max_states}")
+        self.max_word_len, self.random_seed = max_word_len, random_seed
+        self.num_cases, self.max_states = num_cases, max_states
 
     def rng(self) -> random.Random:
         return random.Random(self.random_seed)
 
 
-@dataclass
 class CheckReport:
-    kind: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
-    notes: dict[str, object] = field(default_factory=dict)
+    """One sweep's outcome: its fault lines, and the counts in `notes`."""
+
+    def __init__(self, kind: str, cases: int, notes: dict[str, object]):
+        self.kind, self.cases, self.notes = kind, cases, notes
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -11,10 +11,9 @@ quotient, and R in `contracts`) are one pass over one product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import QuotientUndefined, SignatureMismatch, ValidationError
+from .errors import QuotientUndefined, SignatureMismatch, ValidationError, Value
 from .lang import (
     Alphabet,
     IoSignature,
@@ -32,34 +31,25 @@ from .lang import (
 )
 
 
-@dataclass(frozen=True)
-class ReceptiveLanguage:
-    """A prefix-closed, input-receptive language together with its signature."""
+class ReceptiveLanguage(Value):
+    """A prefix-closed, input-receptive language together with its signature.  Operators
+    build theirs with `_trusted`, from a canonical language receptive by construction."""
 
-    lang: RegularLanguage
-    io: IoSignature
+    _fields = ("lang", "io")
 
-    def __post_init__(self):
-        if self.lang.alphabet != self.io.alphabet:
+    def __init__(self, lang: RegularLanguage, io: IoSignature):
+        if lang.alphabet != io.alphabet:
             raise SignatureMismatch("language and signature use different alphabets")
-        object.__setattr__(self, "lang", self.lang.canonical())
-        w = prefix_closure_witness(self.lang)
+        lang = lang.canonical()
+        w = prefix_closure_witness(lang)
         if w is not None:
             raise ValidationError(f"not prefix-closed at witness {word_str(w)}")
-        if not is_receptive(self.lang, self.io.inputs):
-            w = counterexample(concat_symbol_class(self.lang, self.io.inputs), self.lang)
+        if not is_receptive(lang, io.inputs):
+            w = counterexample(concat_symbol_class(lang, io.inputs), lang)
             raise ValidationError(f"not receptive at witness {word_str(w)}")
-        if not self.lang.accepts(()):  # L is I-receptive, so I* ⊆ L exactly when ε ∈ L
+        if not lang.accepts(()):  # L is I-receptive, so I* ⊆ L exactly when ε ∈ L
             raise ValidationError("language does not contain the bottom language I*")
-
-    @classmethod
-    def _trusted(cls, lang: RegularLanguage, io: IoSignature) -> "ReceptiveLanguage":
-        """Trusted constructor for operator results, which are receptive by
-        construction: canonicalizes `lang` and skips the three checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "lang", lang.canonical())
-        object.__setattr__(self, "io", io)
-        return self
+        vars(self).update(lang=lang, io=io)
 
     @property
     def alphabet(self) -> Alphabet:

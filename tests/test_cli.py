@@ -420,6 +420,24 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: not UTF-8 (") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, '{"n": ' + "7" * 5000 + "}"],
+        ids=["nested-200000-deep", "integer-5000-digits"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("lang", "refines", "{doc}", fx("sigma.json")), ("beh", "compose", "{doc}", "agc1", "agc2")],
+        ids=["lang-refines", "beh-compose"],
+    )
+    def test_document_past_the_json_reader_exits_2(self, capsys, tmp_path, text, argv):
+        """Not a JSONDecodeError: the reader's recursion bound and CPython's limit on integer digits."""
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *(str(path) if arg == "{doc}" else arg for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON (") and err.count("\n") == 1
+
     def test_negative_max_len(self, capsys):
         code, out, err = run(capsys, "lang", "enumerate", fx("istar.json"), "--max-len", "-1")
         assert (code, out, err) == (2, "", "error: --max-len must be nonnegative, got -1\n")

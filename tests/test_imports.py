@@ -1,6 +1,7 @@
 """What a `hyperc` call imports.  Each verb loads only the modules of its
-group, and `import hyperc` loads none until a name is read.  These are
-structural checks on `sys.modules`, not timings."""
+group and neither `dataclasses` nor `inspect` (whose own imports cost more
+than most verbs' work), and `import hyperc` loads none until a name is read.
+These are structural checks on `sys.modules`, not timings."""
 
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 VALUE_MODULES = ("automata", "behavioral", "contracts", "errors", "lang", "oracle", "receptive")
 
-_REPORT = 'print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "hyperc")]))'
+# Heavy standard modules no call may load.
+HEAVY = ("dataclasses", "inspect")
+
+_REPORT = (
+    'print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "hyperc"'
+    f' or m in {HEAVY!r})]))'
+)
 # `python -m hyperc ARGV` as the interpreter runs it.
 _RUN_CLI = """
 import json, runpy, sys
@@ -31,7 +38,7 @@ except SystemExit as exit:
 
 
 def loaded_modules(code: str, *argv: str) -> tuple[object, set[str]]:
-    """Run `code` in a fresh interpreter; its exit code and the hyperc modules it loaded."""
+    """Run `code` in a fresh interpreter; its exit code and the hyperc and HEAVY modules it loaded."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("HYPERC_MAX_STATES", None)
     proc = subprocess.run(
@@ -52,12 +59,14 @@ def loaded_modules(code: str, *argv: str) -> tuple[object, set[str]]:
             ("beh", "compose", "beh.json", "agc1", "agc2"),
             ("oracle", "lang", "receptive", "contracts", "automata"),
         ),
+        (("oracle", "all", "--cases", "0"), ()),  # loads every value module
     ],
 )
 def test_verb_loads_only_its_groups_modules(argv, absent):
     code, modules = loaded_modules(_RUN_CLI, *argv)
     assert code in (0, 1)  # the verb ran to its answer
-    assert not modules & {f"hyperc.{name}" for name in absent}
+    assert not modules & {*(f"hyperc.{name}" for name in absent), *HEAVY}
+    assert "hyperc.cli" in modules  # the report sees the package's modules
 
 
 def test_import_hyperc_loads_no_submodule():

@@ -53,3 +53,16 @@ def test_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_no_dataclasses_import():
+    """Values sit on `errors.Value`; `dataclasses` would pull `inspect` into every
+    call.  The walk reaches imports inside functions, which a run of one verb may miss."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
