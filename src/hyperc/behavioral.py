@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import LimitExceeded, UniverseTooLarge, Value
+from .errors import LimitExceeded, UniverseTooLarge, ValidationError, Value
 
 MAX_UNIVERSE = 64
 GENERAL_MODE_MAX = 8
@@ -29,11 +29,11 @@ class Universe(Value):
     def __init__(self, behaviors: Iterable[str]):
         behaviors = tuple(behaviors)
         if not behaviors:
-            raise UniverseTooLarge("universe must be nonempty")
+            raise ValidationError("universe must be nonempty")
         if len(behaviors) > MAX_UNIVERSE:
             raise UniverseTooLarge(f"universe of {len(behaviors)} behaviors exceeds the {MAX_UNIVERSE} bound")
         if len(set(behaviors)) != len(behaviors):
-            raise UniverseTooLarge("behavior labels must be distinct")
+            raise ValidationError("behavior labels must be distinct")
         vars(self).update(behaviors=behaviors, _pos={b: k for k, b in enumerate(behaviors)})
 
     @property
@@ -48,7 +48,7 @@ class Universe(Value):
         try:
             return self._pos[behavior]
         except KeyError:
-            raise ValueError(f"unknown behavior {behavior!r}") from None
+            raise ValidationError(f"unknown behavior {behavior!r}") from None
 
     def mask_of(self, behaviors: Iterable[str]) -> int:
         m = 0
@@ -62,7 +62,7 @@ class Universe(Value):
 
 def _check_universe(a, b) -> None:
     if a.universe != b.universe:
-        raise ValueError("universe mismatch")
+        raise ValidationError("universe mismatch")
 
 
 class Component(Value):
@@ -72,7 +72,7 @@ class Component(Value):
 
     def __init__(self, universe: Universe, mask: int):
         if mask & ~universe.full_mask:
-            raise ValueError("component leaves its universe")
+            raise ValidationError("component leaves its universe")
         vars(self).update(universe=universe, mask=mask)
 
     @classmethod
@@ -100,7 +100,7 @@ def component_quotient(c: Component, c2: Component) -> Component:
     return Component(c.universe, _quotient_mask(c.mask, c2.mask, c.universe.full_mask))
 
 
-# -- mask-level conic core (single source of truth for ConicCompset) ---------
+# -- the mask-level conic kernel: normalize and quotient, under ConicCompset ---
 
 
 def _quotient_mask(target: int, divisor: int, full: int) -> int:
@@ -124,18 +124,6 @@ def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
             complements.append(~m)
     kept.sort()
     return tuple(kept)
-
-
-def leq_masks(ms: tuple[int, ...], ms2: tuple[int, ...]) -> bool:
-    return all(any(m & ~m2 == 0 for m2 in ms2) for m in ms)
-
-
-def compose_masks(ms: tuple[int, ...], ms2: tuple[int, ...]) -> tuple[int, ...]:
-    return normalize_masks(m & m2 for m in ms for m2 in ms2)
-
-
-def join_masks(ms: tuple[int, ...], ms2: tuple[int, ...]) -> tuple[int, ...]:
-    return normalize_masks(ms + ms2)
 
 
 def quotient_masks(ms: tuple[int, ...], ms2: tuple[int, ...], full: int) -> tuple[int, ...]:
@@ -176,9 +164,9 @@ class ConicCompset(Value):
         maximals = tuple(maximals)
         full = universe.full_mask
         if any(m & ~full for m in maximals):
-            raise ValueError("maximal component leaves its universe")
+            raise ValidationError("maximal component leaves its universe")
         if maximals != normalize_masks(maximals):
-            raise ValueError("maximals must form a sorted antichain")
+            raise ValidationError("maximals must form a sorted antichain")
         vars(self).update(universe=universe, maximals=maximals)
 
     @classmethod
@@ -188,7 +176,7 @@ class ConicCompset(Value):
         # so checking the maximals checks every component.
         full = universe.full_mask
         if any(m & ~full for m in maximals):
-            raise ValueError("maximal component leaves its universe")
+            raise ValidationError("maximal component leaves its universe")
         return cls._trusted(universe, maximals)
 
     @classmethod
@@ -212,11 +200,13 @@ class ConicCompset(Value):
 
     def leq(self, other: "ConicCompset") -> bool:
         _check_universe(self, other)
-        return leq_masks(self.maximals, other.maximals)
+        return all(any(m & ~m2 == 0 for m2 in other.maximals) for m in self.maximals)
 
     def compose(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset._trusted(self.universe, compose_masks(self.maximals, other.maximals))
+        return ConicCompset._trusted(
+            self.universe, normalize_masks(m & m2 for m in self.maximals for m2 in other.maximals)
+        )
 
     def meet(self, other: "ConicCompset") -> "ConicCompset":
         # Intersection of downward-closed sets; coincides with composition
@@ -225,7 +215,7 @@ class ConicCompset(Value):
 
     def join(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset._trusted(self.universe, join_masks(self.maximals, other.maximals))
+        return ConicCompset._trusted(self.universe, normalize_masks(self.maximals + other.maximals))
 
     def quotient(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
@@ -260,7 +250,7 @@ class GeneralCompset(Value):
         members = frozenset(members)
         full = universe.full_mask
         if any(m & ~full for m in members):
-            raise ValueError("member component leaves its universe")
+            raise ValidationError("member component leaves its universe")
         vars(self).update(universe=universe, members=members)
 
     @classmethod
@@ -345,7 +335,7 @@ class BehavioralHypercontract(Value):
     def __init__(self, env: ConicCompset | GeneralCompset, impl: ConicCompset | GeneralCompset):
         _check_universe(env, impl)
         if type(env) is not type(impl):
-            raise ValueError("environments and implementations must share one compset representation")
+            raise ValidationError("environments and implementations must share one compset representation")
         vars(self).update(env=env, impl=impl)
 
     @property

@@ -199,7 +199,6 @@ class Flag(NamedTuple):
     kwargs: dict  # for add_argument
     echo: bool = True  # carried by the json echo
     doc: str = ""  # the kind of document the value names, read and recorded like a positional one
-    nonnegative: bool = False  # a negative value is refused before any document is read
 
     @property
     def dest(self) -> str:
@@ -259,7 +258,7 @@ VERBS: dict[str, Verb] = {
     ),
     "lang enumerate": Verb(
         ("lang.enumerate_words",), "L", _enumerate,
-        (Flag("--max-len", {"type": int, "default": 4}, nonnegative=True),),
+        (Flag("--max-len", {"type": int, "default": 4}),),
     ),
     "lang embed": Verb(
         ("receptive.embed",), "R", lambda a, inputs: _lib("receptive.embed")(a, _symbols(inputs)),
@@ -378,9 +377,6 @@ class Command:
     def run(self) -> tuple[str, int]:
         verb, args = self.verb, self.args
         flags = {flag.dest: getattr(args, flag.dest) for flag in verb.flags}
-        for flag in verb.flags:
-            if flag.nonnegative and flags[flag.dest] < 0:
-                raise HypercError(f"{flag.option} must be nonnegative, got {flags[flag.dest]}")
         kinds, paths, receptive = verb.docs, getattr(args, "files", []), False
         raws: list[dict | None] = [None] * len(paths)
         if "?" in kinds:

@@ -38,7 +38,7 @@ class Value:
 
 
 class HypercError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class of every refusal this package raises."""
 
 
 class AlphabetMismatch(HypercError):
@@ -49,8 +49,9 @@ class SignatureMismatch(HypercError):
     """An io-signature precondition is violated (shared outputs, I ⊄ I', ...)."""
 
 
-class ValidationError(HypercError):
-    """A value fails its construction invariant; the message names a witness."""
+class ValidationError(HypercError, ValueError):
+    """A value or argument fails its invariant; the message names the fault.
+    It is also a `ValueError`, so callers that catch that keep working."""
 
 
 class QuotientUndefined(HypercError):
@@ -58,7 +59,7 @@ class QuotientUndefined(HypercError):
 
 
 class UniverseTooLarge(HypercError):
-    """A behavior universe exceeds the bitset or general-mode bound."""
+    """A behavior universe exceeds a size bound: the bitset, general mode or antichain enumeration."""
 
 
 class LimitExceeded(HypercError):

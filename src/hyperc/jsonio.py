@@ -223,7 +223,7 @@ def _component_from(doc: BehavioralDocument, ref, what: str) -> Component:
     if isinstance(ref, list) and all(isinstance(x, str) for x in ref):
         try:
             return Component.from_behaviors(doc.universe, ref)
-        except ValueError as err:
+        except HypercError as err:
             raise DocumentError(f"{what}: {err}") from None
     raise DocumentError(f"{what} must be a component name or a list of behaviors")
 
@@ -285,10 +285,6 @@ def parse_behavioral(raw: dict) -> BehavioralDocument:
     return doc
 
 
-def component_names(c: Component) -> list[str]:
-    return list(c.behaviors())
-
-
 def compset_doc(h: ConicCompset | GeneralCompset) -> list[list[str]]:
     """The antichain of maximal components; a general compset gives its conic form's."""
     from .behavioral import GeneralCompset
@@ -309,6 +305,6 @@ def behavioral_contract_doc(c: BehavioralHypercontract) -> dict:
 def ag_contract_doc(ag: AgContract) -> dict:
     return {
         "universe": list(ag.universe.behaviors),
-        "A": component_names(ag.assumptions),
-        "G": component_names(ag.guarantees),
+        "A": list(ag.assumptions.behaviors()),
+        "G": list(ag.guarantees.behaviors()),
     }

@@ -137,14 +137,14 @@ class RegularLanguage(Value):
         n = len(delta)
         nsym = len(alphabet)
         if n == 0:
-            raise ValueError("automaton needs at least one state")
+            raise ValidationError("automaton needs at least one state")
         if not 0 <= initial < n:
-            raise ValueError("initial state out of range")
+            raise ValidationError("initial state out of range")
         if not all(0 <= q < n for q in accepting):
-            raise ValueError("accepting state out of range")
+            raise ValidationError("accepting state out of range")
         for row in delta:
             if len(row) != nsym or not all(0 <= t < n for t in row):
-                raise ValueError("delta must be total with targets in range")
+                raise ValidationError("delta must be total with targets in range")
         vars(self).update(alphabet=alphabet, initial=initial, accepting=accepting, delta=delta)
 
     @classmethod
@@ -536,7 +536,7 @@ def enumerate_words(lang: RegularLanguage, max_len: int) -> list[Word]:
     """Members of L up to max_len, in length-then-lexicographic order; more
     than MAX_ENUM_WORDS members raise LimitExceeded before any is listed."""
     if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+        raise ValidationError(f"max_len (--max-len) must be nonnegative, got {max_len}")
     if max_len > MAX_ENUM_LEN:
         raise LimitExceeded(f"enumeration length {max_len} exceeds limit {MAX_ENUM_LEN}")
     symbols = lang.alphabet.symbols

@@ -523,7 +523,7 @@ def run_check(kind: str, cfg: BoundedCheckConfig) -> CheckReport:
     try:
         sweep = ORACLE_KINDS[kind]
     except KeyError:
-        raise ValueError(f"unknown oracle kind {kind!r}") from None
+        raise ValidationError(f"unknown oracle kind {kind!r}") from None
     return sweep(cfg)
 
 

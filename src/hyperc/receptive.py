@@ -23,7 +23,6 @@ from .lang import (
     concat_symbol_class,
     counterexample,
     is_receptive,
-    is_subset,
     prefix_closure_witness,
     product_map,
     star_of,
@@ -82,11 +81,6 @@ def meet(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
 def join(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
     _require_same_io(a, b)
     return ReceptiveLanguage._trusted(a.lang.union(b.lang), a.io)
-
-
-def leq(a: ReceptiveLanguage, b: ReceptiveLanguage) -> bool:
-    _require_same_io(a, b)
-    return is_subset(a.lang, b.lang)
 
 
 # -- the one-pass closed forms -------------------------------------------------

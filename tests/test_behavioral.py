@@ -34,7 +34,7 @@ from hyperc.behavioral import (
     quotient_masks,
     strong_merge_general,
 )
-from hyperc.errors import LimitExceeded, UniverseTooLarge
+from hyperc.errors import LimitExceeded, UniverseTooLarge, ValidationError
 
 U4 = Universe(("0", "1", "2", "3"))
 U3 = Universe(("x", "y", "z"))
@@ -66,7 +66,7 @@ class TestUniverseAndComponents:
     def test_universe_bounds(self):
         with pytest.raises(UniverseTooLarge):
             Universe(tuple(f"b{k}" for k in range(65)))
-        with pytest.raises(UniverseTooLarge):
+        with pytest.raises(ValidationError):
             Universe(())
 
     def test_component_quotient_examples(self):

@@ -440,7 +440,11 @@ class TestErrors:
 
     def test_negative_max_len(self, capsys):
         code, out, err = run(capsys, "lang", "enumerate", fx("istar.json"), "--max-len", "-1")
-        assert (code, out, err) == (2, "", "error: --max-len must be nonnegative, got -1\n")
+        assert (code, out, err) == (2, "", "error: max_len (--max-len) must be nonnegative, got -1\n")
+
+    def test_negative_max_len_after_the_document_read(self, capsys):
+        code, out, err = run(capsys, "lang", "enumerate", "no-such.json", "--max-len", "-1")
+        assert (code, out) == (2, "") and err.startswith("error: cannot read no-such.json")
 
     @pytest.mark.parametrize(
         "flags, message",

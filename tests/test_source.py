@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperc"
@@ -64,5 +65,40 @@ def test_no_dataclasses_import():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+#: The attribute protocol's own refusals: a module `__getattr__` and the immutable value base.
+_BUILTIN_RAISES_ALLOWED = {
+    ("__init__.py", "__getattr__", "AttributeError"),
+    ("errors.py", "Value.__setattr__", "AttributeError"),
+    ("errors.py", "Value.__delattr__", "AttributeError"),
+}
+
+
+def _raises(node: ast.AST, scope: str = ""):
+    """(enclosing qualified name, raised class name) of every `raise Name(...)` or `raise Name`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raises(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name):
+                yield child.lineno, scope, exc.id
+        yield from _raises(child, scope)
+
+
+def test_no_builtin_exception_raised():
+    """Every refusal is a `HypercError`, so the CLI's one `except HypercError`
+    turns any of them into exit 2; only the attribute protocol raises a builtin."""
+    found = [
+        f"{path.name}:{lineno} {scope} raises {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, scope, name in _raises(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(getattr(builtins, name, None), type)
+        and issubclass(getattr(builtins, name), BaseException)
+        and (path.name, scope, name) not in _BUILTIN_RAISES_ALLOWED
     ]
     assert found == []

@@ -2,13 +2,14 @@
 assigned nor deleted, whether the value came from its constructor or from an
 operator; values are equal exactly when they share a class and their fields
 are equal (a language by its canonical form); fields can be passed by
-keyword."""
+keyword.  Every check a value or a public operation makes refuses with a
+`HypercError`."""
 
 from __future__ import annotations
 
 import pytest
 
-from hyperc import automata, contracts, receptive
+from hyperc import automata, contracts, oracle, receptive
 from hyperc.behavioral import (
     AgContract,
     BehavioralHypercontract,
@@ -22,8 +23,9 @@ from hyperc.behavioral import (
     convexity,
 )
 from hyperc.contracts import Incompatible, InterfaceHypercontract
+from hyperc.errors import HypercError, UniverseTooLarge, ValidationError
 from hyperc.jsonio import parse_behavioral, parse_language
-from hyperc.lang import Alphabet, IoSignature, RegularLanguage, from_words, sigma_star, star_of
+from hyperc.lang import Alphabet, IoSignature, RegularLanguage, enumerate_words, from_words, sigma_star, star_of
 from hyperc.receptive import ReceptiveLanguage
 
 AB = Alphabet(("i", "o"))
@@ -192,3 +194,42 @@ def test_contract_equality_ignores_derived_languages():
     assert "e" in vars(c) and "m" in vars(c)
     assert c == fresh and fresh == c and hash(c) == hash(fresh)
     assert c == _contract(star_of(AB, {"i"})) and hash(c) == hash(_contract(star_of(AB, {"i"})))
+
+
+V = Universe(("x", "y"))
+
+#: Each row: a refused call, the HypercError subclass it raises and its message.
+REFUSALS = {
+    "language-without-states": (lambda: RegularLanguage(AB, 0, (), ()), ValidationError, "at least one state"),
+    "language-partial-delta": (lambda: RegularLanguage(AB, 0, (), ((0,),)), ValidationError, "must be total"),
+    "universe-empty": (lambda: Universe(()), ValidationError, "nonempty"),
+    "universe-duplicate": (lambda: Universe(("x", "x")), ValidationError, "distinct"),
+    "universe-over-64": (lambda: Universe(f"b{k}" for k in range(65)), UniverseTooLarge, "64 bound"),
+    "universe-index": (lambda: U.index("w"), ValidationError, "unknown behavior 'w'"),
+    "component-outside": (lambda: Component(U, 0b1000), ValidationError, "leaves its universe"),
+    "component-and-across": (lambda: Component(U, 1) & Component(V, 1), ValidationError, "universe mismatch"),
+    "conic-unsorted": (lambda: ConicCompset(U, (0b101, 0b011)), ValidationError, "sorted antichain"),
+    "conic-outside": (lambda: ConicCompset(U, (0b1000,)), ValidationError, "leaves its universe"),
+    "general-outside": (lambda: GeneralCompset(U, {0b1000}), ValidationError, "leaves its universe"),
+    "contract-mixed": (
+        lambda: BehavioralHypercontract(ConicCompset.full(U), GeneralCompset(U, {0})),
+        ValidationError, "one compset representation",
+    ),
+    "ag-across": (lambda: AgContract(Component(U, 1), Component(V, 1)), ValidationError, "universe mismatch"),
+    "enumerate-negative": (
+        lambda: enumerate_words(sigma_star(AB), -1),
+        ValidationError, r"max_len \(--max-len\) must be nonnegative, got -1",
+    ),
+    "oracle-unknown-kind": (
+        lambda: oracle.run_check("nope", oracle.BoundedCheckConfig()), ValidationError, "unknown oracle kind 'nope'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_every_refusal_is_a_hyperc_error(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert isinstance(raised.value, HypercError)
+    assert isinstance(raised.value, ValueError) == (error is ValidationError)
