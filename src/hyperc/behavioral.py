@@ -10,15 +10,15 @@ the contract operations run on hypercontracts over either.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded, UniverseTooLarge, ValidationError, Value
 
 MAX_UNIVERSE = 64
 GENERAL_MODE_MAX = 8
 
-# Bound on the candidates one step of the folded conic quotient may build.
-_QUOTIENT_STEP_CAP = 1_000_000
+# Bound on the candidates of one pairwise meet: a composition, a meet or a quotient step.
+_MEET_CANDIDATE_CAP = 1_000_000
 
 
 class Universe(Value):
@@ -100,7 +100,7 @@ def component_quotient(c: Component, c2: Component) -> Component:
     return Component(c.universe, _quotient_mask(c.mask, c2.mask, c.universe.full_mask))
 
 
-# -- the mask-level conic kernel: normalize and quotient, under ConicCompset ---
+# -- the mask-level conic kernel: normalize and the pairwise meet, under ConicCompset
 
 
 def _quotient_mask(target: int, divisor: int, full: int) -> int:
@@ -126,22 +126,16 @@ def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def quotient_masks(ms: tuple[int, ...], ms2: tuple[int, ...], full: int) -> tuple[int, ...]:
-    """Maximals of the residual  ⋀_{M'∈ms2} ↓{M/M' : M ∈ ms},  folded one
-    divisor maximal at a time with  ↓A ∩ ↓B = ↓{a ∧ b : a ∈ A, b ∈ B}  and
-    normalized after every step.  A step builds len(acc)·len(ms) candidates,
-    at most _QUOTIENT_STEP_CAP."""
-    acc: tuple[int, ...] = (full,)
-    for step, m2 in enumerate(ms2, 1):
-        candidates = len(acc) * len(ms)
-        if candidates > _QUOTIENT_STEP_CAP:
-            raise LimitExceeded(
-                f"conic quotient step {step} of {len(ms2)} would build {len(acc)} partial maximals × "
-                f"{len(ms)} dividend maximals = {candidates} candidates, over the cap of {_QUOTIENT_STEP_CAP}"
-            )
-        quotients = [_quotient_mask(m, m2, full) for m in ms]
-        acc = normalize_masks([a & q for a in acc for q in quotients])
-    return acc
+def _meet(operation: str, ms: Sequence[int], ms2: Sequence[int]) -> tuple[int, ...]:
+    """Maximals of  ↓ms ∩ ↓ms2 = ↓{a ∧ b : a ∈ ms, b ∈ ms2}.  Over _MEET_CANDIDATE_CAP
+    candidates, LimitExceeded names the operation and both sizes before any is built."""
+    candidates = len(ms) * len(ms2)
+    if candidates > _MEET_CANDIDATE_CAP:
+        raise LimitExceeded(
+            f"{operation} would build {len(ms)} × {len(ms2)} = {candidates} candidates, "
+            f"over the cap of {_MEET_CANDIDATE_CAP}"
+        )
+    return normalize_masks([a & b for a in ms for b in ms2])
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -204,25 +198,27 @@ class ConicCompset(Value):
 
     def compose(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset._trusted(
-            self.universe, normalize_masks(m & m2 for m in self.maximals for m2 in other.maximals)
-        )
+        return ConicCompset._trusted(self.universe, _meet("conic composition", self.maximals, other.maximals))
 
     def meet(self, other: "ConicCompset") -> "ConicCompset":
-        # Intersection of downward-closed sets; coincides with composition
-        # because component composition is idempotent.
-        return self.compose(other)
+        # ↓A ∩ ↓B, which equals composition since component composition is idempotent.
+        _check_universe(self, other)
+        return ConicCompset._trusted(self.universe, _meet("conic meet", self.maximals, other.maximals))
 
     def join(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
         return ConicCompset._trusted(self.universe, normalize_masks(self.maximals + other.maximals))
 
     def quotient(self, other: "ConicCompset") -> "ConicCompset":
+        """The residual  ⋀_{M'∈H'} ↓{M/M' : M ∈ H},  folded one divisor maximal M' at a time:
+        each step meets the maximals kept so far with the k quotients M/M'."""
         _check_universe(self, other)
-        return ConicCompset._trusted(
-            self.universe,
-            quotient_masks(self.maximals, other.maximals, self.universe.full_mask),
-        )
+        full = self.universe.full_mask
+        acc: tuple[int, ...] = (full,)
+        for step, m2 in enumerate(other.maximals, 1):
+            quotients = [_quotient_mask(m, m2, full) for m in self.maximals]
+            acc = _meet(f"conic quotient step {step} of {other.k}", acc, quotients)
+        return ConicCompset._trusted(self.universe, acc)
 
     def to_general(self) -> "GeneralCompset":
         _check_general_mode(self.universe)  # before listing up to 2^64 submasks
@@ -413,7 +409,6 @@ def ag_to_contract(ag: AgContract) -> BehavioralHypercontract:
 def ag_compose(ag: AgContract, ag2: AgContract) -> AgContract:
     """AG composition matching contract composition under the bridge:
     G = (G1/A1) ∩ (G2/A2) and A = (A1 ∩ A2) ∪ ¬G."""
-    _check_universe(ag.assumptions, ag2.assumptions)
     g = component_quotient(ag.guarantees, ag.assumptions) & component_quotient(
         ag2.guarantees, ag2.assumptions
     )
@@ -423,7 +418,6 @@ def ag_compose(ag: AgContract, ag2: AgContract) -> AgContract:
 
 def ag_merge_strong(ag: AgContract, ag2: AgContract) -> AgContract:
     """Viewpoint fusion with strong assumptions: (A1 ∩ A2, G1 ∩ G2)."""
-    _check_universe(ag.assumptions, ag2.assumptions)
     return AgContract(ag.assumptions & ag2.assumptions, ag.guarantees & ag2.guarantees)
 
 

@@ -542,9 +542,9 @@ def enumerate_words(lang: RegularLanguage, max_len: int) -> list[Word]:
     symbols = lang.alphabet.symbols
     delta = lang.delta
     # count[r][q]: the number of words of length exactly r accepted from q.
-    # The walk enters a state only if it accepts some word of the remaining
-    # length, so every branch walked ends in an output word and the walk
-    # costs O(output · k · max_len) instead of O(k^max_len).
+    # Each level extends the (word, state) pairs of the last in symbol order and
+    # keeps a pair only if its state accepts some word of the remaining length,
+    # so the listing costs O(output · k · max_len) instead of O(k^max_len).
     count = [[1 if q in lang.accepting else 0 for q in range(len(delta))]]
     for _ in range(max_len):
         prev = count[-1]
@@ -553,17 +553,10 @@ def enumerate_words(lang: RegularLanguage, max_len: int) -> list[Word]:
     if total > MAX_ENUM_WORDS:
         raise LimitExceeded(f"enumeration of {total} words exceeds limit {MAX_ENUM_WORDS}")
     out: list[Word] = []
-
-    def walk(q: int, word: tuple[str, ...], remaining: int) -> None:
-        if remaining == 0:
-            out.append(word)
-            return
-        ahead = count[remaining - 1]
-        for k, t in enumerate(delta[q]):
-            if ahead[t]:
-                walk(t, word + (symbols[k],), remaining - 1)
-
     for length in range(max_len + 1):
-        if count[length][lang.initial]:
-            walk(lang.initial, (), length)
+        level = [((), lang.initial)] if count[length][lang.initial] else []
+        for remaining in range(length - 1, -1, -1):
+            ahead = count[remaining]
+            level = [(word + (symbols[k],), t) for word, q in level for k, t in enumerate(delta[q]) if ahead[t]]
+        out.extend(word for word, _ in level)
     return out

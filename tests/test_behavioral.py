@@ -31,13 +31,22 @@ from hyperc.behavioral import (
     convexity,
     is_saturated,
     normalize_masks,
-    quotient_masks,
     strong_merge_general,
 )
 from hyperc.errors import LimitExceeded, UniverseTooLarge, ValidationError
 
 U4 = Universe(("0", "1", "2", "3"))
 U3 = Universe(("x", "y", "z"))
+U64 = Universe(tuple(str(k) for k in range(64)))
+
+
+def wide_antichain(seed: int, shift: int) -> tuple[int, ...]:
+    """1001 distinct masks of popcount 30 on bits shift to shift + 59: a sorted antichain."""
+    rng = random.Random(seed)
+    ms = set()
+    while len(ms) < 1001:
+        ms.add(sum(1 << b + shift for b in rng.sample(range(60), 30)))
+    return tuple(sorted(ms))
 
 
 def comp(*behaviors: int) -> Component:
@@ -272,10 +281,9 @@ class TestConicKernel:
     @given(quotient_operands())
     def test_quotient_matches_choice_enumeration(self, operands):
         bits, ms, ms2 = operands
-        full = (1 << bits) - 1
-        assert quotient_masks(ms, ms2, full) == reference_quotient(ms, ms2, full)
-        ns, ns2 = normalize_masks(ms), normalize_masks(ms2)
-        assert quotient_masks(ns, ns2, full) == reference_quotient(ns, ns2, full)
+        u = Universe(tuple(f"b{k}" for k in range(bits)))
+        q = ConicCompset(u, normalize_masks(ms)).quotient(ConicCompset(u, normalize_masks(ms2)))
+        assert q.maximals == reference_quotient(ms, ms2, u.full_mask)
 
     def test_quotient_beyond_choice_count(self):
         # 8**7 choice functions, more than the cap, but every fold step stays
@@ -303,17 +311,30 @@ class TestConicKernel:
         # 1001 dividend maximals of popcount 30 on bits 0-59; the first
         # divisor maximal keeps them all apart, so the second step would
         # build 1001 × 1001 candidates.
-        rng = random.Random(9)
-        ms = set()
-        while len(ms) < 1001:
-            ms.add(sum(1 << b for b in rng.sample(range(60), 30)))
-        ms = tuple(sorted(ms))
+        h = ConicCompset(U64, wide_antichain(9, 0))
         low = (1 << 60) - 1
-        ms2 = (low | 1 << 60, low | 1 << 61)
-        message = r"step 2 of 2 would build 1001 partial maximals × 1001 dividend maximals = 1002001 candidates"
-        with pytest.raises(LimitExceeded, match=message):
-            quotient_masks(ms, ms2, (1 << 64) - 1)
-        assert len(quotient_masks(ms, ms2[:1], (1 << 64) - 1)) == 1001
+        h2 = ConicCompset(U64, (low | 1 << 60, low | 1 << 61))
+        message = "conic quotient step 2 of 2 would build 1001 × 1001 = 1002001 candidates, over the cap of 1000000"
+        with pytest.raises(LimitExceeded, match=f"^{message}$"):
+            h.quotient(h2)
+        assert h.quotient(ConicCompset(U64, h2.maximals[:1])).k == 1001
+
+    @pytest.mark.parametrize(
+        "operation, name",
+        [
+            (ConicCompset.compose, "conic composition"),
+            (ConicCompset.meet, "conic meet"),
+            (lambda h, h2: contract_compose(*(BehavioralHypercontract(ConicCompset.full(U64), x) for x in (h, h2))),
+             "conic composition"),
+        ],
+        ids=["compose", "meet", "contract_compose"],
+    )
+    def test_meet_over_cap_raises(self, operation, name):
+        # Two 1001-maximal antichains: 1001 × 1001 candidates, refused before any is built.
+        h, h2 = ConicCompset(U64, wide_antichain(1, 0)), ConicCompset(U64, wide_antichain(2, 4))
+        message = f"{name} would build 1001 × 1001 = 1002001 candidates, over the cap of 1000000"
+        with pytest.raises(LimitExceeded, match=f"^{message}$"):
+            operation(h, h2)
 
 
 class TestContracts:

@@ -22,6 +22,7 @@ import hyperc.lang
 import hyperc.oracle
 import hyperc.receptive
 from hyperc.cli import VERBS, build_parser, main
+from test_behavioral import wide_antichain
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -365,6 +366,21 @@ class TestBehavioralUniverses:
         code, out, err = run(capsys, "beh", "compose", str(bundle), "c1", "c2", "--general")
         assert (code, out) == (2, "")
         assert err == "error: universe too large for general mode (> 8 behaviors)\n"
+
+    def test_pairwise_meet_over_cap_exits_2(self, capsys, tmp_path):
+        # Two 1001-maximal antichains over 64 behaviors: 1001 × 1001 candidates,
+        # refused before any is built.
+        universe = [str(k) for k in range(64)]
+        compsets = {
+            name: [[b for k, b in enumerate(universe) if m >> k & 1] for m in wide_antichain(seed, shift)]
+            for name, seed, shift in (("h", 1, 0), ("g", 2, 4))
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"universe": universe, "compsets": compsets}), encoding="utf-8")
+        for verb, operation in (("compose", "conic composition"), ("meet", "conic meet")):
+            code, out, err = run(capsys, "beh", verb, str(path), "h", "g")
+            assert (code, out) == (2, "")
+            assert err == f"error: {operation} would build 1001 × 1001 = 1002001 candidates, over the cap of 1000000\n"
 
     def test_general_flag_only_on_lattice_verbs(self, capsys):
         general = {name for name, verb in VERBS.items() if any(f.option == "--general" for f in verb.flags)}

@@ -10,7 +10,11 @@ version, since argparse words and wraps help differently between versions.
 The module needs only the standard library, so it also runs without pytest:
 
     PYTHONPATH=src python tests/test_cli_golden.py            # compare
-    PYTHONPATH=src python tests/test_cli_golden.py --record   # rewrite this version's digests
+    PYTHONPATH=src python tests/test_cli_golden.py --record   # add the digests the file lacks
+
+`--record` never re-pins: it adds digests only for calls the file has no key
+for, and if any recorded digest changed it writes nothing, prints the `DIFF`
+lines and exits 1.  To re-pin an intended change, delete its keys first.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ EXTRA_CALLS: tuple[tuple[str, ...], ...] = (
     ("beh", "quotient", "beh.json", "h12", "htop"),
     ("beh", "quotient", "beh.json", "cmix", "ctop"),
     ("beh", "quotient", "beh.json", "cmix", "ctop", "--general"),
+    # Refusals (exit 2), kept out of CLI_CORPUS, whose calls must not exit 2.
+    ("lang", "validate", "rec_not_prefix_closed.json"),
+    ("lang", "validate", "rec_not_receptive.json"),
+    ("iface", "from-s", "c_not_prefix_closed.json"),
+    ("iface", "from-s", "c_no_eps.json"),
 )
 
 #: Help texts: the top level, each group and one verb per group.
@@ -102,14 +111,14 @@ def test_cli_outputs_match_golden_digests():
 def main(argv: list[str]) -> int:
     current = current_digests()
     golden, other = golden_digests()
-    if argv == ["--record"]:
-        recorded = {**other, **current}
+    changed = [key for key in golden if key in current and current[key] != golden[key]]
+    if argv == ["--record"] and not changed:
+        new = {key: digest for key, digest in current.items() if key not in golden}
+        recorded = {**other, **golden, **new}
         GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"recorded {len(current)} digests on Python {sys.version.split()[0]}")
+        print(f"recorded {len(new)} new digests on Python {sys.version.split()[0]}")
         return 0
-    changed = sorted(set(golden) ^ set(current)) + [
-        key for key in golden if key in current and current[key] != golden[key]
-    ]
+    changed = sorted(set(golden) ^ set(current)) + changed
     for key in changed:
         print(f"DIFF {key}")
     print(f"{len(current) - len(changed)}/{len(golden)} digests match on Python {sys.version.split()[0]}")

@@ -19,6 +19,7 @@ from hyperc.behavioral import (
     GeneralCompset,
     Universe,
     ag_compose,
+    ag_merge_strong,
     contract_compose,
     convexity,
 )
@@ -216,6 +217,14 @@ REFUSALS = {
         ValidationError, "one compset representation",
     ),
     "ag-across": (lambda: AgContract(Component(U, 1), Component(V, 1)), ValidationError, "universe mismatch"),
+    "ag-compose-across": (
+        lambda: ag_compose(AgContract(Component(U, 1), Component(U, 1)), AgContract(Component(V, 1), Component(V, 1))),
+        ValidationError, "universe mismatch",
+    ),
+    "ag-merge-strong-across": (
+        lambda: ag_merge_strong(AgContract(Component(U, 1), Component(U, 1)), AgContract(Component(V, 1), Component(V, 1))),
+        ValidationError, "universe mismatch",
+    ),
     "enumerate-negative": (
         lambda: enumerate_words(sigma_star(AB), -1),
         ValidationError, r"max_len \(--max-len\) must be nonnegative, got -1",
