@@ -16,9 +16,10 @@ from .errors import LimitExceeded, UniverseTooLarge, ValidationError, Value
 
 MAX_UNIVERSE = 64
 GENERAL_MODE_MAX = 8
+MAX_ANTICHAIN_UNIVERSE = 4
 
 # Bound on the candidates of one pairwise meet: a composition, a meet or a quotient step.
-_MEET_CANDIDATE_CAP = 1_000_000
+MAX_MEET_CANDIDATES = 1_000_000
 
 
 class Universe(Value):
@@ -31,7 +32,7 @@ class Universe(Value):
         if not behaviors:
             raise ValidationError("universe must be nonempty")
         if len(behaviors) > MAX_UNIVERSE:
-            raise UniverseTooLarge(f"universe of {len(behaviors)} behaviors exceeds the {MAX_UNIVERSE} bound")
+            raise UniverseTooLarge("universe", f"{len(behaviors)} behaviors", MAX_UNIVERSE, "MAX_UNIVERSE")
         if len(set(behaviors)) != len(behaviors):
             raise ValidationError("behavior labels must be distinct")
         vars(self).update(behaviors=behaviors, _pos={b: k for k, b in enumerate(behaviors)})
@@ -127,14 +128,12 @@ def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _meet(operation: str, ms: Sequence[int], ms2: Sequence[int]) -> tuple[int, ...]:
-    """Maximals of  ↓ms ∩ ↓ms2 = ↓{a ∧ b : a ∈ ms, b ∈ ms2}.  Over _MEET_CANDIDATE_CAP
+    """Maximals of  ↓ms ∩ ↓ms2 = ↓{a ∧ b : a ∈ ms, b ∈ ms2}.  Over MAX_MEET_CANDIDATES
     candidates, LimitExceeded names the operation and both sizes before any is built."""
     candidates = len(ms) * len(ms2)
-    if candidates > _MEET_CANDIDATE_CAP:
-        raise LimitExceeded(
-            f"{operation} would build {len(ms)} × {len(ms2)} = {candidates} candidates, "
-            f"over the cap of {_MEET_CANDIDATE_CAP}"
-        )
+    if candidates > MAX_MEET_CANDIDATES:
+        measured = f"{len(ms)} × {len(ms2)} = {candidates} candidates"
+        raise LimitExceeded(operation, measured, MAX_MEET_CANDIDATES, "MAX_MEET_CANDIDATES")
     return normalize_masks([a & b for a in ms for b in ms2])
 
 
@@ -233,7 +232,7 @@ class ConicCompset(Value):
 
 def _check_general_mode(universe: Universe) -> None:
     if universe.size > GENERAL_MODE_MAX:
-        raise UniverseTooLarge(f"universe too large for general mode (> {GENERAL_MODE_MAX} behaviors)")
+        raise UniverseTooLarge("general mode", f"{universe.size} behaviors", GENERAL_MODE_MAX, "GENERAL_MODE_MAX")
 
 
 class GeneralCompset(Value):
@@ -431,8 +430,9 @@ def ag_merge_weak(ag: AgContract, ag2: AgContract) -> BehavioralHypercontract:
 
 def all_antichains(universe: Universe) -> list[tuple[int, ...]]:
     """All antichains of components (= all conic compsets) over a tiny universe."""
-    if universe.size > 4:
-        raise UniverseTooLarge("antichain enumeration is meant for |B| ≤ 4")
+    if universe.size > MAX_ANTICHAIN_UNIVERSE:
+        measured = f"{universe.size} behaviors"
+        raise UniverseTooLarge("antichain enumeration", measured, MAX_ANTICHAIN_UNIVERSE, "MAX_ANTICHAIN_UNIVERSE")
     masks = list(range(universe.full_mask + 1))
     out: list[tuple[int, ...]] = []
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import SignatureMismatch, ValidationError, Value
+from .errors import LimitExceeded, SignatureMismatch, ValidationError, Value
 from .lang import (
     Alphabet,
     IoSignature,
     RegularLanguage,
+    _ENV_MAX_STATES,
     _canonicalize,
-    _cap_exceeded,
     is_prefix_closed,
     is_receptive,
     is_subset,
@@ -60,7 +60,7 @@ class InterfaceHypercontract(Value):
         from accepting to rejecting is a missing extension and goes to ⊤ (accepts Σ*)."""
         s, top, cap = self.s, self.s.n_states, state_cap()
         if top > cap:
-            raise _cap_exceeded(cap, op, (top,))
+            raise LimitExceeded(op, f"{top} states", cap, _ENV_MAX_STATES)
         idx, acc = {s.alphabet.index(x) for x in gamma}, s.accepting
         delta = [
             tuple(top if k in idx and q in acc and t not in acc else t for k, t in enumerate(row))

@@ -58,12 +58,17 @@ class QuotientUndefined(HypercError):
     """The receptive quotient's definedness condition L' ∩ I_r* ⊆ L fails."""
 
 
-class UniverseTooLarge(HypercError):
-    """A behavior universe exceeds a size bound: the bitset, general mode or antichain enumeration."""
-
-
 class LimitExceeded(HypercError):
-    """A configured size cap (enumeration length, state count) was exceeded."""
+    """A size bound refused `operation`: `measured`, a size with its unit or argument, is over
+    `bound`, which `knob` sets: HYPERC_MAX_STATES, or the constant's name for a fixed bound."""
+
+    def __init__(self, operation: str, measured: str, bound: int, knob: str):
+        super().__init__(f"{operation}: {measured} over the bound {bound} ({knob})")
+        self.operation, self.measured, self.bound, self.knob = operation, measured, bound, knob
+
+
+class UniverseTooLarge(LimitExceeded):
+    """A behavior universe exceeds a size bound: the bitset, general mode or antichain enumeration."""
 
 
 class DocumentError(HypercError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DocumentError, HypercError
+from .errors import DocumentError, HypercError, LimitExceeded
 
 # Each parser imports the value modules it builds when it runs, so that reading
 # one kind of document loads none of the others' modules.
@@ -84,13 +84,12 @@ def _triples(doc: dict, what: str):
 def parse_language(doc: dict, auto_trap: bool = True) -> RegularLanguage:
     """The canonical form of a language document; with auto_trap, a missing
     transition goes to a rejecting sink."""
-    from .lang import _canonicalize, _cap_exceeded, _table_rows, state_cap
+    from .lang import _ENV_MAX_STATES, _canonicalize, _table_rows, state_cap
 
     alphabet = parse_alphabet(doc)
     _, pos, initial = _states(doc, "language")
-    cap = state_cap()
-    if len(pos) > cap:
-        raise _cap_exceeded(cap, "language ingestion", (len(pos),))
+    if len(pos) > (cap := state_cap()):
+        raise LimitExceeded("language ingestion", f"{len(pos)} states", cap, _ENV_MAX_STATES)
     accepting = _string_list(doc, "accepting", "language")
     for s in accepting:
         if s not in pos:
@@ -190,8 +189,8 @@ def parse_ia(doc: dict) -> InterfaceAutomaton:
     states, _, initial = _states(doc, what)
     try:
         return make(io, states, initial, _triples(doc, what))
-    except HypercError as err:
-        raise DocumentError(str(err)) from None
+    except HypercError as err:  # a size bound keeps its class and attributes
+        raise (err if isinstance(err, LimitExceeded) else DocumentError(str(err))) from None
 
 
 def ia_doc(a: InterfaceAutomaton) -> dict:
@@ -257,8 +256,8 @@ def parse_behavioral(raw: dict) -> BehavioralDocument:
         raise DocumentError("behavioral document must be a JSON object")
     try:
         universe = Universe(tuple(_string_list(raw, "universe", "behavioral")))
-    except HypercError as err:
-        raise DocumentError(str(err)) from None
+    except HypercError as err:  # a size bound keeps its class and attributes
+        raise (err if isinstance(err, LimitExceeded) else DocumentError(str(err))) from None
     doc = BehavioralDocument(universe)
     for name, behaviors in _section(raw, "components").items():
         doc.components[name] = _component_from(doc, behaviors, f"component {name!r}")

@@ -13,7 +13,7 @@ import os
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-from .errors import AlphabetMismatch, HypercError, LimitExceeded, SignatureMismatch, ValidationError, Value
+from .errors import AlphabetMismatch, LimitExceeded, SignatureMismatch, ValidationError, Value
 
 Word = tuple[str, ...]
 
@@ -43,7 +43,7 @@ def state_cap() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise HypercError(f"{_ENV_MAX_STATES} must be a positive integer, got {raw!r}")
+        raise ValidationError(f"{_ENV_MAX_STATES} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -388,17 +388,12 @@ def _explore(
             if j is None:
                 j = len(states)
                 if j >= cap:
-                    raise _cap_exceeded(cap, op, sizes)
+                    raise LimitExceeded(op, f"{'×'.join(map(str, sizes))} states", cap, _ENV_MAX_STATES)
                 index[t] = j
                 states.append(t)
             row.append(j)
         rows.append(tuple(row))
     return states, rows
-
-
-def _cap_exceeded(cap: int, op: str, sizes: tuple[int, ...]) -> LimitExceeded:
-    shape = "×".join(map(str, sizes))
-    return LimitExceeded(f"product exceeds state cap {cap} ({_ENV_MAX_STATES}) in {op} of {shape} states")
 
 
 def product_map(a: RegularLanguage, b: RegularLanguage, op: str = "product") -> tuple[list[tuple], list[tuple]]:
@@ -538,7 +533,7 @@ def enumerate_words(lang: RegularLanguage, max_len: int) -> list[Word]:
     if max_len < 0:
         raise ValidationError(f"max_len (--max-len) must be nonnegative, got {max_len}")
     if max_len > MAX_ENUM_LEN:
-        raise LimitExceeded(f"enumeration length {max_len} exceeds limit {MAX_ENUM_LEN}")
+        raise LimitExceeded("enumeration", f"max_len (--max-len) {max_len}", MAX_ENUM_LEN, "MAX_ENUM_LEN")
     symbols = lang.alphabet.symbols
     delta = lang.delta
     # count[r][q]: the number of words of length exactly r accepted from q.
@@ -551,7 +546,7 @@ def enumerate_words(lang: RegularLanguage, max_len: int) -> list[Word]:
         count.append([sum(prev[t] for t in row) for row in delta])
     total = sum(c[lang.initial] for c in count)
     if total > MAX_ENUM_WORDS:
-        raise LimitExceeded(f"enumeration of {total} words exceeds limit {MAX_ENUM_WORDS}")
+        raise LimitExceeded("enumeration", f"{total} words", MAX_ENUM_WORDS, "MAX_ENUM_WORDS")
     out: list[Word] = []
     for length in range(max_len + 1):
         level = [((), lang.initial)] if count[length][lang.initial] else []

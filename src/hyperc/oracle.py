@@ -17,8 +17,10 @@ from .errors import HypercError, LimitExceeded, ValidationError
 from .lang import (
     Alphabet,
     IoSignature,
+    MAX_ENUM_LEN,
     RegularLanguage,
     Word,
+    _ENV_MAX_STATES,
     _canonicalize,
     close_backward,
     is_subset,
@@ -38,23 +40,22 @@ from .receptive import (
     unc,
 )
 
-MAX_WORD_LEN = 8
-
 
 class BoundedCheckConfig:
-    """Knobs for the bounded checks; word lengths are capped at 8."""
+    """Knobs for the bounded checks; word lengths are bounded by lang.MAX_ENUM_LEN."""
 
     def __init__(self, max_word_len: int = 6, random_seed: int = 0, num_cases: int = 200, max_states: int = 5):
-        if not 0 <= max_word_len <= MAX_WORD_LEN:
-            raise LimitExceeded(f"max_word_len (--max-len) must lie in [0, {MAX_WORD_LEN}], got {max_word_len}")
+        if max_word_len < 0:
+            raise ValidationError(f"max_word_len (--max-len) must be nonnegative, got {max_word_len}")
+        if max_word_len > MAX_ENUM_LEN:
+            raise LimitExceeded("oracle", f"max_word_len (--max-len) {max_word_len}", MAX_ENUM_LEN, "MAX_ENUM_LEN")
         if num_cases < 0:
             raise ValidationError(f"num_cases (--cases) must be nonnegative, got {num_cases}")
         if max_states < 1:
             raise ValidationError(f"max_states (--max-states) must be at least 1, got {max_states}")
         # The generators allocate up to max_states rows before any capped product.
-        cap = state_cap()
-        if max_states > cap:
-            raise ValidationError(f"max_states (--max-states) must be at most the state cap {cap}, got {max_states}")
+        if max_states > (cap := state_cap()):
+            raise LimitExceeded("oracle", f"max_states (--max-states) {max_states}", cap, _ENV_MAX_STATES)
         self.max_word_len, self.random_seed = max_word_len, random_seed
         self.num_cases, self.max_states = num_cases, max_states
 

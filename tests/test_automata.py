@@ -102,7 +102,8 @@ class TestConstruction:
         monkeypatch.setenv("HYPERC_MAX_STATES", "1")
         # Only reachable states count: the stray state is trimmed, not explored.
         assert make(IO_OUT_A, ["p0", "stray"], "p0", {}).state_names == ("p0",)
-        with pytest.raises(LimitExceeded, match="state cap 1 .* interface-automaton ingestion of 2 states"):
+        message = r"interface-automaton ingestion: 2 states over the bound 1 \(HYPERC_MAX_STATES\)"
+        with pytest.raises(LimitExceeded, match=message):
             make(IO_OUT_A, ["p0", "p1"], "p0", {("p0", "a"): "p1"})
 
 
@@ -198,7 +199,7 @@ class TestCompose:
         a1 = make(IO_OUT_A, ["p0", "p1"], "p0", {("p0", "a"): "p1"})
         a2 = make(IO_IN_A, ["q0"], "q0", {("q0", "a"): "q0"})
         monkeypatch.setenv("HYPERC_MAX_STATES", "1")
-        with pytest.raises(LimitExceeded, match="state cap 1 .* composition of 2×1 states"):
+        with pytest.raises(LimitExceeded, match=r"composition: 2×1 states over the bound 1 \(HYPERC_MAX_STATES\)"):
             compose_detailed(a1, a2)
 
     def test_signature_precondition(self, ab):

@@ -365,7 +365,8 @@ class TestBehavioralUniverses:
         # Refused before the 2^32 members of a 32-behavior maximal are listed.
         code, out, err = run(capsys, "beh", "compose", str(bundle), "c1", "c2", "--general")
         assert (code, out) == (2, "")
-        assert err == "error: universe too large for general mode (> 8 behaviors)\n"
+        size = len(json.loads(bundle.read_text(encoding="utf-8"))["universe"])
+        assert err == f"error: general mode: {size} behaviors over the bound 8 (GENERAL_MODE_MAX)\n"
 
     def test_pairwise_meet_over_cap_exits_2(self, capsys, tmp_path):
         # Two 1001-maximal antichains over 64 behaviors: 1001 × 1001 candidates,
@@ -380,7 +381,9 @@ class TestBehavioralUniverses:
         for verb, operation in (("compose", "conic composition"), ("meet", "conic meet")):
             code, out, err = run(capsys, "beh", verb, str(path), "h", "g")
             assert (code, out) == (2, "")
-            assert err == f"error: {operation} would build 1001 × 1001 = 1002001 candidates, over the cap of 1000000\n"
+            assert err == (
+                f"error: {operation}: 1001 × 1001 = 1002001 candidates over the bound 1000000 (MAX_MEET_CANDIDATES)\n"
+            )
 
     def test_general_flag_only_on_lattice_verbs(self, capsys):
         general = {name for name, verb in VERBS.items() if any(f.option == "--general" for f in verb.flags)}
@@ -467,11 +470,16 @@ class TestErrors:
         [
             (("all", "--cases", "-1"), "num_cases (--cases) must be nonnegative, got -1"),
             (("unc", "--cases", "2", "--max-states", "0"), "max_states (--max-states) must be at least 1, got 0"),
-            (
+            pytest.param(
                 ("missext", "--cases", "1", "--max-states", "10001"),
-                "max_states (--max-states) must be at most the state cap 10000, got 10001",
+                "oracle: max_states (--max-states) 10001 over the bound 10000 (HYPERC_MAX_STATES)",
+                id="max-states-over-the-state-cap",
             ),
-            (("all", "--max-len", "9"), "max_word_len (--max-len) must lie in [0, 8], got 9"),
+            pytest.param(
+                ("all", "--max-len", "9"), "oracle: max_word_len (--max-len) 9 over the bound 8 (MAX_ENUM_LEN)",
+                id="max-len-over-the-bound",
+            ),
+            (("all", "--max-len", "-1"), "max_word_len (--max-len) must be nonnegative, got -1"),
         ],
     )
     def test_oracle_numeric_flags(self, capsys, flags, message):
@@ -618,14 +626,14 @@ class TestStateCap:
         monkeypatch.setenv("HYPERC_MAX_STATES", "1")
         code, out, err = run(capsys, *(fx(a) if a.endswith(".json") else a for a in argv))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "state cap 1" in err
+        assert err.startswith("error: ") and err.endswith(" states over the bound 1 (HYPERC_MAX_STATES)\n")
 
     def test_interface_automaton_ingestion_over_cap_exits_2(self, capsys, monkeypatch):
         # ia_aout has two reachable states.
         monkeypatch.setenv("HYPERC_MAX_STATES", "1")
         code, out, err = run(capsys, "ia", "language", fx("ia_aout.json"))
         assert (code, out) == (2, "")
-        assert err.startswith("error: product exceeds state cap 1") and "ingestion of 2 states" in err
+        assert err == "error: interface-automaton ingestion: 2 states over the bound 1 (HYPERC_MAX_STATES)\n"
 
     @pytest.mark.parametrize(
         "argv, wrap",
@@ -649,7 +657,7 @@ class TestStateCap:
                 assert (code, err) == (0, "")
             else:
                 assert (code, out) == (2, "")
-                assert err == "error: product exceeds state cap 3 (HYPERC_MAX_STATES) in language ingestion of 4 states\n"
+                assert err == "error: language ingestion: 4 states over the bound 3 (HYPERC_MAX_STATES)\n"
 
     def test_enumeration_over_word_bound_exits_2(self, capsys, tmp_path):
         # Σ* over 12 symbols has 1 + 12 + … + 12⁶ = 3257437 words up to length 6.
@@ -660,7 +668,7 @@ class TestStateCap:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "lang", "enumerate", str(path), "--max-len", "6")
         assert (code, out) == (2, "")
-        assert err == "error: enumeration of 3257437 words exceeds limit 1000000\n"
+        assert err == "error: enumeration: 3257437 words over the bound 1000000 (MAX_ENUM_WORDS)\n"
         code, out, _ = run(capsys, "lang", "enumerate", str(path), "--max-len", "1")
         assert (code, out.split()) == (0, ["ε", *symbols])
 
@@ -684,7 +692,7 @@ class TestStateCap:
         code, out, err = run(capsys, "ia", "refines", *map(str, paths))
         assert (code, out) == (2, "")
         assert err == (
-            "error: product exceeds state cap 3 (HYPERC_MAX_STATES) in interface-automaton refinement of 2×3 states\n"
+            "error: interface-automaton refinement: 2×3 states over the bound 3 (HYPERC_MAX_STATES)\n"
         )
 
 

@@ -108,7 +108,7 @@ class TestFromS:
         io = IoSignature(AB1, frozenset({"a"}) if which == "m" else frozenset())
         expected = getattr(from_s(s, io), which)
         monkeypatch.setenv("HYPERC_MAX_STATES", str(n - 1))
-        message = rf"^product exceeds state cap {n - 1} \(HYPERC_MAX_STATES\) in {op} of {n} states$"
+        message = rf"^{op}: {n} states over the bound {n - 1} \(HYPERC_MAX_STATES\)$"
         with pytest.raises(LimitExceeded, match=message):
             getattr(from_s(s, io), which)
         monkeypatch.setenv("HYPERC_MAX_STATES", str(n))
@@ -239,8 +239,8 @@ class TestCompose:
         c1 = from_s(lang_of(AB1, "", "a"), IoSignature(AB1, frozenset()))
         c2 = from_s(lang_of(AB1, "", "a", "aa"), IoSignature(AB1, frozenset({"a"})))
         monkeypatch.setenv("HYPERC_MAX_STATES", "1")
-        with pytest.raises(LimitExceeded, match=r"^product exceeds state cap 1 \(HYPERC_MAX_STATES\) "
-                           r"in contract composition of 3×4 states$"):
+        message = r"^contract composition: 3×4 states over the bound 1 \(HYPERC_MAX_STATES\)$"
+        with pytest.raises(LimitExceeded, match=message):
             compose(c1, c2)
 
     def test_tops_compatible(self, ab, top):

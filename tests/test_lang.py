@@ -649,16 +649,16 @@ class TestStateCap:
     @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
     def test_malformed_value_rejected(self, monkeypatch, istar, top, raw):
         monkeypatch.setenv("HYPERC_MAX_STATES", raw)
-        with pytest.raises(HypercError, match=f"HYPERC_MAX_STATES .*{raw!r}"):
+        with pytest.raises(ValidationError, match=f"HYPERC_MAX_STATES .*{raw!r}"):
             state_cap()
         with pytest.raises(HypercError, match="HYPERC_MAX_STATES"):
             is_subset(istar, top)
 
     def test_cap_bounds_exploration(self, monkeypatch, ab, istar, iostar):
         monkeypatch.setenv("HYPERC_MAX_STATES", "1")
-        with pytest.raises(LimitExceeded, match="state cap 1"):
+        with pytest.raises(LimitExceeded, match=r"over the bound 1 \(HYPERC_MAX_STATES\)"):
             product_map(istar, iostar)
-        with pytest.raises(LimitExceeded, match="state cap 1"):
+        with pytest.raises(LimitExceeded, match=r"over the bound 1 \(HYPERC_MAX_STATES\)"):
             counterexample(istar, sigma_star(ab))
         # The witness ε lies at the initial pair, before any pair is added.
         assert counterexample(istar, iostar) == ()
@@ -675,7 +675,7 @@ class TestEnumerate:
         assert enumerate_words(iostar, 2) == [("o",), ("i", "o"), ("o", "i"), ("o", "o")]
 
     def test_limit(self, istar):
-        with pytest.raises(LimitExceeded, match="^enumeration length 9 exceeds limit 8$"):
+        with pytest.raises(LimitExceeded, match=r"^enumeration: max_len \(--max-len\) 9 over the bound 8 \(MAX_ENUM_LEN\)$"):
             enumerate_words(istar, 9)
         with pytest.raises(ValueError):
             enumerate_words(istar, -1)
@@ -685,13 +685,14 @@ class TestEnumerate:
         monkeypatch.setattr(hyperc.lang, "MAX_ENUM_WORDS", 7)
         assert len(enumerate_words(top, 2)) == 7
         monkeypatch.setattr(hyperc.lang, "MAX_ENUM_WORDS", 6)
-        with pytest.raises(LimitExceeded, match="^enumeration of 7 words exceeds limit 6$"):
+        with pytest.raises(LimitExceeded, match=r"^enumeration: 7 words over the bound 6 \(MAX_ENUM_WORDS\)$"):
             enumerate_words(top, 2)
 
     def test_default_word_bound(self):
         # 1 + 12 + … + 12⁶ words; refused from the counts, before any walk.
         sigma12 = sigma_star(Alphabet(tuple("abcdefghijkl")))
-        with pytest.raises(LimitExceeded, match="^enumeration of 3257437 words exceeds limit 1000000$"):
+        message = r"^enumeration: 3257437 words over the bound 1000000 \(MAX_ENUM_WORDS\)$"
+        with pytest.raises(LimitExceeded, match=message):
             enumerate_words(sigma12, 6)
 
     @settings(max_examples=150, deadline=None)

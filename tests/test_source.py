@@ -102,3 +102,38 @@ def test_no_builtin_exception_raised():
         and (path.name, scope, name) not in _BUILTIN_RAISES_ALLOWED
     ]
     assert found == []
+
+
+
+_LIMIT_MODEL = ("operation", "measured", "bound", "knob")
+
+
+def _is_text(node: ast.expr) -> bool:
+    return isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_limit_errors_pass_the_four_model_arguments():
+    """Every limit error is built from (operation, measured, bound, knob), so only
+    `errors.LimitExceeded` words its message: no call passes a preformatted text,
+    a splat, a text bound or a formatted knob."""
+    calls = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("LimitExceeded", "UniverseTooLarge")
+    ]
+    assert len(calls) >= 11
+    found = []
+    for name, node in calls:
+        model = dict(zip(_LIMIT_MODEL, node.args)) | {k.arg: k.value for k in node.keywords}
+        if (
+            len(node.args) + len(node.keywords) != len(_LIMIT_MODEL)
+            or set(model) != set(_LIMIT_MODEL)
+            or any(isinstance(arg, ast.Starred) for arg in node.args)
+            or _is_text(model["bound"])
+            or isinstance(model["knob"], ast.JoinedStr)
+        ):
+            found.append(f"{name}:{node.lineno}")
+    assert found == []

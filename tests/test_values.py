@@ -7,6 +7,9 @@ keyword.  Every check a value or a public operation makes refuses with a
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import pytest
 
 from hyperc import automata, contracts, oracle, receptive
@@ -26,7 +29,16 @@ from hyperc.behavioral import (
 from hyperc.contracts import Incompatible, InterfaceHypercontract
 from hyperc.errors import HypercError, UniverseTooLarge, ValidationError
 from hyperc.jsonio import parse_behavioral, parse_language
-from hyperc.lang import Alphabet, IoSignature, RegularLanguage, enumerate_words, from_words, sigma_star, star_of
+from hyperc.lang import (
+    Alphabet,
+    IoSignature,
+    RegularLanguage,
+    enumerate_words,
+    from_words,
+    sigma_star,
+    star_of,
+    state_cap,
+)
 from hyperc.receptive import ReceptiveLanguage
 
 AB = Alphabet(("i", "o"))
@@ -199,13 +211,23 @@ def test_contract_equality_ignores_derived_languages():
 
 V = Universe(("x", "y"))
 
+
+def _state_cap_from(raw: str) -> int:
+    """state_cap() with HYPERC_MAX_STATES set to `raw`."""
+    with mock.patch.dict(os.environ, {"HYPERC_MAX_STATES": raw}):
+        return state_cap()
+
+
 #: Each row: a refused call, the HypercError subclass it raises and its message.
 REFUSALS = {
     "language-without-states": (lambda: RegularLanguage(AB, 0, (), ()), ValidationError, "at least one state"),
     "language-partial-delta": (lambda: RegularLanguage(AB, 0, (), ((0,),)), ValidationError, "must be total"),
     "universe-empty": (lambda: Universe(()), ValidationError, "nonempty"),
     "universe-duplicate": (lambda: Universe(("x", "x")), ValidationError, "distinct"),
-    "universe-over-64": (lambda: Universe(f"b{k}" for k in range(65)), UniverseTooLarge, "64 bound"),
+    "universe-over-64": (
+        lambda: Universe(f"b{k}" for k in range(65)),
+        UniverseTooLarge, r"universe: 65 behaviors over the bound 64 \(MAX_UNIVERSE\)",
+    ),
     "universe-index": (lambda: U.index("w"), ValidationError, "unknown behavior 'w'"),
     "component-outside": (lambda: Component(U, 0b1000), ValidationError, "leaves its universe"),
     "component-and-across": (lambda: Component(U, 1) & Component(V, 1), ValidationError, "universe mismatch"),
@@ -228,6 +250,13 @@ REFUSALS = {
     "enumerate-negative": (
         lambda: enumerate_words(sigma_star(AB), -1),
         ValidationError, r"max_len \(--max-len\) must be nonnegative, got -1",
+    ),
+    "oracle-max-len-negative": (
+        lambda: oracle.BoundedCheckConfig(max_word_len=-1),
+        ValidationError, r"^max_word_len \(--max-len\) must be nonnegative, got -1$",
+    ),
+    "state-cap-malformed": (
+        lambda: _state_cap_from("abc"), ValidationError, "^HYPERC_MAX_STATES must be a positive integer, got 'abc'$",
     ),
     "oracle-unknown-kind": (
         lambda: oracle.run_check("nope", oracle.BoundedCheckConfig()), ValidationError, "unknown oracle kind 'nope'",
