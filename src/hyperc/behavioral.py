@@ -21,6 +21,9 @@ MAX_ANTICHAIN_UNIVERSE = 4
 # Bound on the candidates of one pairwise meet: a composition, a meet or a quotient step.
 MAX_MEET_CANDIDATES = 1_000_000
 
+# Maximals kept before normalize_masks tests each mask against all of them at once.
+_PACKED_FROM = 16
+
 
 class Universe(Value):
     """Ordered set of behavior labels; components are bitsets over it."""
@@ -110,19 +113,47 @@ def _quotient_mask(target: int, divisor: int, full: int) -> int:
 
 def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Antichain of maximal elements, sorted ascending; denotation unchanged.
+    The masks must be nonnegative: a negative one turns the lane test off.
 
     Distinct masks are visited by decreasing popcount, so any mask that
     dominates another comes first, and each mask is tested only against the
-    maximals kept so far (held as complements: m ⊆ o iff m ∧ ¬o = 0)."""
+    maximals kept so far: one by one (as complements: m ⊆ o iff m ∧ ¬o = 0) up
+    to _PACKED_FROM of them, then all at once.  With w the widest bit length,
+    maximal o_i holds lane i of `lanes`: w bits (2^w − 1) ∧ ¬o_i under a clear
+    guard bit.  m · low copies m < 2^w into every lane, lane i of lanes ∧ m · low
+    is zero iff m ⊆ o_i, and adding `guard` then subtracting `low` clears just
+    the guard bits of zero lanes, with no borrow across lanes."""
+    distinct = sorted(set(masks), key=int.bit_count, reverse=True)
+    todo = iter(distinct)
     kept: list[int] = []
     complements: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+    for m in todo:
         for c in complements:
             if not m & c:
                 break
         else:
             kept.append(m)
             complements.append(~m)
+            if len(kept) == _PACKED_FROM and min(distinct) >= 0:
+                break
+    else:
+        kept.sort()
+        return tuple(kept)
+    w = max(distinct).bit_length()
+    fill = (1 << w) - 1
+    lanes = low = shift = 0
+    for o in kept:
+        lanes |= (fill ^ o) << shift
+        low |= 1 << shift
+        shift += w + 1
+    guard = low << w
+    for m in todo:
+        if ((lanes & m * low | guard) - low) & guard == guard:
+            kept.append(m)
+            lanes |= (fill ^ m) << shift
+            low |= 1 << shift
+            guard |= 1 << shift + w
+            shift += w + 1
     kept.sort()
     return tuple(kept)
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperc.behavioral import (
+    _PACKED_FROM,
     AgContract,
     BehavioralHypercontract,
     Component,
@@ -48,6 +49,19 @@ def wide_antichain(seed: int, shift: int) -> tuple[int, ...]:
     while len(ms) < 1001:
         ms.add(sum(1 << b + shift for b in rng.sample(range(60), 30)))
     return tuple(sorted(ms))
+
+
+def scattered_antichain(seed: int, count: int) -> tuple[int, ...]:
+    """A sorted antichain of count masks of popcount 8-56 over 64 behaviors, so
+    that in decreasing popcount order the narrow ones come after the wide ones'
+    submasks."""
+    rng = random.Random(seed)
+    out: list[int] = []
+    while len(out) < count:
+        m = sum(1 << b for b in rng.sample(range(64), rng.randint(8, 56)))
+        if all(m & ~o and o & ~m for o in out):
+            out.append(m)
+    return tuple(sorted(out))
 
 
 def comp(*behaviors: int) -> Component:
@@ -265,6 +279,24 @@ def raw_masks(draw, bits: int, max_tops: int = 5) -> tuple[int, ...]:
 
 
 @st.composite
+def many_masks(draw) -> tuple[int, ...]:
+    """Up to about 200 masks over 1-64 behaviors, often with more than
+    _PACKED_FROM maximals: repeats, dominated submasks, and the empty and
+    full masks among them."""
+    bits = draw(st.integers(1, 64))
+    full = (1 << bits) - 1
+    mask = st.integers(0, full)
+    tops = draw(st.lists(mask, max_size=120))
+    out = tops + [0] * draw(st.booleans())
+    if draw(st.integers(0, 9)) == 0:  # the full mask leaves one maximal, so only now and then
+        out.append(full)
+    if tops:
+        out += draw(st.lists(st.sampled_from(tops), max_size=40))
+        out += [top & sub for top, sub in draw(st.lists(st.tuples(st.sampled_from(tops), mask), max_size=40))]
+    return tuple(draw(st.permutations(out)))
+
+
+@st.composite
 def quotient_operands(draw):
     bits = draw(st.integers(1, 64))
     return bits, draw(raw_masks(bits)), draw(raw_masks(bits))
@@ -338,6 +370,58 @@ class TestConicKernel:
         message = f"{name}: 1001 × 1001 = 1002001 candidates over the bound 1000000 (MAX_MEET_CANDIDATES)"
         with pytest.raises(LimitExceeded, match=f"^{re.escape(message)}$"):
             operation(h, h2)
+
+
+class TestPackedNormalize:
+    """normalize_masks past _PACKED_FROM kept maximals, where one lane test
+    covers all of them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(many_masks())
+    def test_normalize_matches_pairwise_filter(self, masks):
+        assert normalize_masks(masks) == reference_normalize(masks)
+
+    @pytest.mark.parametrize("count", [_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1])
+    def test_threshold_counts(self, count):
+        rng = random.Random(count)
+        tops = scattered_antichain(count, count)
+        masks = [*tops, *(rng.choice(tops) & rng.getrandbits(64) for _ in range(3 * count)), *tops[:5], 0]
+        rng.shuffle(masks)
+        assert normalize_masks(masks) == reference_normalize(masks) == tops
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda ks: ks[0] ** ks[1] <= 1024),
+           st.randoms(use_true_random=False))
+    def test_quotient_matches_choice_enumeration_64(self, ks, rng):
+        # 64 behaviors keep nearly every candidate distinct, so the steps reach the lane test.
+        k, k2 = ks
+        ms, ms2 = scattered_antichain(rng.getrandbits(32), k), scattered_antichain(rng.getrandbits(32), k2)
+        q = ConicCompset(U64, ms).quotient(ConicCompset(U64, ms2))
+        assert q.maximals == reference_quotient(ms, ms2, U64.full_mask)
+
+    def test_wide_compose(self):
+        h, h2 = ConicCompset(U64, wide_antichain(1, 0)[:40]), ConicCompset(U64, wide_antichain(2, 4)[:40])
+        got = h.compose(h2)
+        assert got.k > 4 * _PACKED_FROM
+        assert got.maximals == reference_normalize(a & b for a in h.maximals for b in h2.maximals)
+
+    def test_wide_from_components(self):
+        rng = random.Random(11)
+        masks = [sum(1 << b for b in rng.sample(range(64), 32)) for _ in range(1000)]
+        masks += [m & rng.getrandbits(64) for m in masks[:200]]
+        assert ConicCompset.from_components(U64, masks).maximals == reference_normalize(masks)
+
+    @pytest.mark.parametrize("count", [_PACKED_FROM - 6, _PACKED_FROM + 4])
+    @pytest.mark.parametrize("bad", [-1, -(1 << 20), 1 << 16, (1 << 70) | 1])
+    def test_outside_universe_refused_on_both_sides_of_the_threshold(self, bad, count):
+        # Distinct popcount-8 masks form an antichain, all visited before the narrow bad mask.
+        u = Universe(tuple(str(k) for k in range(16)))
+        rng = random.Random(count)
+        masks: set[int] = set()
+        while len(masks) < count:
+            masks.add(sum(1 << b for b in rng.sample(range(16), 8)))
+        with pytest.raises(ValidationError, match="^maximal component leaves its universe$"):
+            ConicCompset.from_components(u, [*masks, bad])
 
 
 class TestContracts:
