@@ -3,11 +3,15 @@ invalid-state pruning, and the semantic map to interface hypercontracts."""
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .contracts import Incompatible, InterfaceHypercontract
 from .errors import SignatureMismatch, ValidationError, Value
-from .lang import IoSignature, RegularLanguage, _canonicalize, _explore, _table_rows, close_backward
+from .lang import IoSignature, RegularLanguage, _are_states, _canonicalize, _explore, _table_rows, close_backward
+
+#: A transition target is a state number or None, for a missing transition.
+_TARGET_TYPES = frozenset({int, type(None)})
 
 
 class InterfaceAutomaton(Value):
@@ -23,20 +27,19 @@ class InterfaceAutomaton(Value):
         self, io: IoSignature, state_names: Iterable[str], initial: int, trans: Iterable[Iterable[int | None]]
     ):
         state_names = tuple(state_names)
-        trans = tuple(tuple(row) for row in trans)
+        trans = tuple(map(tuple, trans))
         n = len(state_names)
         nsym = len(io.alphabet)
         if n == 0:
             raise ValidationError("automaton needs at least one state")
         if len(set(state_names)) != n:
             raise ValidationError("state names must be distinct")
-        if not 0 <= initial < n:
+        if not _are_states([initial], n):
             raise ValidationError("initial state out of range")
         if len(trans) != n:
             raise ValidationError("one transition row per state required")
-        for row in trans:
-            if len(row) != nsym or not all(t is None or 0 <= t < n for t in row):
-                raise ValidationError("transition targets out of range")
+        if set(map(len, trans)) != {nsym} or not _are_states(chain.from_iterable(trans), n, _TARGET_TYPES):
+            raise ValidationError("transition targets out of range")
         vars(self).update(io=io, state_names=state_names, initial=initial, trans=trans)
 
     @property

@@ -21,6 +21,9 @@ MAX_ANTICHAIN_UNIVERSE = 4
 # Bound on the candidates of one pairwise meet: a composition, a meet or a quotient step.
 MAX_MEET_CANDIDATES = 1_000_000
 
+# Bound on the work of one normalization: distinct masks × maximals kept.
+MAX_NORMALIZE_WORK = 1_000_000_000
+
 # Maximals kept before normalize_masks tests each mask against all of them at once.
 _PACKED_FROM = 16
 
@@ -111,9 +114,12 @@ def _quotient_mask(target: int, divisor: int, full: int) -> int:
     return (full & ~divisor) | target
 
 
-def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
+def normalize_masks(masks: Iterable[int], operation: str = "conic normalization") -> tuple[int, ...]:
     """Antichain of maximal elements, sorted ascending; denotation unchanged.
     The masks must be nonnegative: a negative one turns the lane test off.
+    Each mask is tested against at most all the maximals kept, so once distinct
+    masks × maximals kept exceeds MAX_NORMALIZE_WORK, LimitExceeded names
+    `operation` and both sizes; it is checked only when a maximal is kept.
 
     Distinct masks are visited by decreasing popcount, so any mask that
     dominates another comes first, and each mask is tested only against the
@@ -124,6 +130,7 @@ def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     is zero iff m ⊆ o_i, and adding `guard` then subtracting `low` clears just
     the guard bits of zero lanes, with no borrow across lanes."""
     distinct = sorted(set(masks), key=int.bit_count, reverse=True)
+    room = MAX_NORMALIZE_WORK // len(distinct) if distinct else 0
     todo = iter(distinct)
     kept: list[int] = []
     complements: list[int] = []
@@ -134,6 +141,8 @@ def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
         else:
             kept.append(m)
             complements.append(~m)
+            if len(kept) > room:
+                _over_work(operation, len(distinct), len(kept))
             if len(kept) == _PACKED_FROM and min(distinct) >= 0:
                 break
     else:
@@ -150,12 +159,19 @@ def normalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     for m in todo:
         if ((lanes & m * low | guard) - low) & guard == guard:
             kept.append(m)
+            if len(kept) > room:
+                _over_work(operation, len(distinct), len(kept))
             lanes |= (fill ^ m) << shift
             low |= 1 << shift
             guard |= 1 << shift + w
             shift += w + 1
     kept.sort()
     return tuple(kept)
+
+
+def _over_work(operation: str, masks: int, kept: int) -> None:
+    measured = f"{masks} distinct masks × {kept} maximals kept = {masks * kept} domination tests"
+    raise LimitExceeded(operation, measured, MAX_NORMALIZE_WORK, "MAX_NORMALIZE_WORK")
 
 
 def _meet(operation: str, ms: Sequence[int], ms2: Sequence[int]) -> tuple[int, ...]:
@@ -165,7 +181,7 @@ def _meet(operation: str, ms: Sequence[int], ms2: Sequence[int]) -> tuple[int, .
     if candidates > MAX_MEET_CANDIDATES:
         measured = f"{len(ms)} × {len(ms2)} = {candidates} candidates"
         raise LimitExceeded(operation, measured, MAX_MEET_CANDIDATES, "MAX_MEET_CANDIDATES")
-    return normalize_masks([a & b for a in ms for b in ms2])
+    return normalize_masks([a & b for a in ms for b in ms2], operation)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -237,7 +253,7 @@ class ConicCompset(Value):
 
     def join(self, other: "ConicCompset") -> "ConicCompset":
         _check_universe(self, other)
-        return ConicCompset._trusted(self.universe, normalize_masks(self.maximals + other.maximals))
+        return ConicCompset._trusted(self.universe, normalize_masks(self.maximals + other.maximals, "conic join"))
 
     def quotient(self, other: "ConicCompset") -> "ConicCompset":
         """The residual  ⋀_{M'∈H'} ↓{M/M' : M ∈ H},  folded one divisor maximal M' at a time:

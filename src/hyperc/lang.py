@@ -10,6 +10,7 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -45,6 +46,38 @@ def state_cap() -> int:
     if cap < 1:
         raise ValidationError(f"{_ENV_MAX_STATES} must be a positive integer, got {raw!r}")
     return cap
+
+
+#: _NUMBERS[j] is j: the one int object that every automaton built here holds
+#: for state number j (CPython shares only -5..256 itself).  Growth rebinds the
+#: name to a longer list and never changes a list in place, so a reader indexes
+#: the list it holds without a lock; the table stops at state_cap() + 1 numbers.
+_NUMBERS: list[int] = list(range(257))
+
+
+def _numbers(n: int) -> Sequence[int]:
+    """numbers[j] is j for every j < n: the shared table, grown to at least n
+    numbers if the state cap allows, else fresh ints from range(n)."""
+    global _NUMBERS
+    numbers = _NUMBERS
+    if len(numbers) < n:
+        size = min(max(n, 2 * len(numbers)), state_cap() + 1)
+        if size > len(numbers):
+            numbers = _NUMBERS = numbers + list(range(len(numbers), size))
+        if size < n:
+            return range(n)
+    return numbers
+
+
+def _are_states(items: Iterable, n: int, types: frozenset[type] = frozenset({int})) -> bool:
+    """Whether every item is a state number in 0..n-1 of a type in `types`; a
+    None (a missing transition, where `types` holds its type) has no range.
+    Types are read before deduplication, as 0.0 == 0, and each check is a
+    C-level pass with no Python code per item."""
+    items = list(items)
+    numbers = set(items)
+    numbers.discard(None)
+    return types.issuperset(map(type, items)) and (not numbers or min(numbers) >= 0 and max(numbers) < n)
 
 
 def word_str(word: Word) -> str:
@@ -132,20 +165,19 @@ class RegularLanguage(Value):
     _fields = ("alphabet", "initial", "accepting", "delta")
 
     def __init__(self, alphabet: Alphabet, initial: int, accepting: Iterable[int], delta: Iterable[Iterable[int]]):
-        accepting = frozenset(accepting)
-        delta = tuple(tuple(row) for row in delta)
+        accepting = list(accepting)
+        delta = tuple(map(tuple, delta))
         n = len(delta)
         nsym = len(alphabet)
         if n == 0:
             raise ValidationError("automaton needs at least one state")
-        if not 0 <= initial < n:
+        if not _are_states([initial], n):
             raise ValidationError("initial state out of range")
-        if not all(0 <= q < n for q in accepting):
+        if not _are_states(accepting, n):
             raise ValidationError("accepting state out of range")
-        for row in delta:
-            if len(row) != nsym or not all(0 <= t < n for t in row):
-                raise ValidationError("delta must be total with targets in range")
-        vars(self).update(alphabet=alphabet, initial=initial, accepting=accepting, delta=delta)
+        if set(map(len, delta)) != {nsym} or not _are_states(chain.from_iterable(delta), n):
+            raise ValidationError("delta must be total with targets in range")
+        vars(self).update(alphabet=alphabet, initial=initial, accepting=frozenset(accepting), delta=delta)
 
     @classmethod
     def _trusted(
@@ -217,7 +249,7 @@ class RegularLanguage(Value):
     def complement(self) -> "RegularLanguage":
         """Flipping F keeps the canonical form minimal and its numbering canonical."""
         c = self.canonical()
-        flipped = frozenset(range(c.n_states)) - c.accepting
+        flipped = frozenset(_numbers(c.n_states)[:c.n_states]) - c.accepting
         return RegularLanguage._trusted(c.alphabet, flipped, c.delta)
 
     def union(self, other: "RegularLanguage") -> "RegularLanguage":
@@ -334,6 +366,9 @@ def _canonicalize(
     # The stable partition is a congruence, so any member represents its block;
     # BFS over blocks from the initial one drops the unreachable states and
     # fixes the canonical numbering, reps[j] the block numbered j.
+    numbers = _NUMBERS
+    if len(numbers) < nblocks:
+        numbers = _numbers(nblocks)
     rep = dict(zip(block, range(n)))
     idx = {block[initial]: 0}
     reps = [rep[block[initial]]]
@@ -341,10 +376,9 @@ def _canonicalize(
         for col in cols:
             tb = block[col[i]]
             if tb not in idx:
-                idx[tb] = len(reps)
+                idx[tb] = numbers[len(reps)]
                 reps.append(rep[tb])
     delta = tuple(zip(*[[idx[block[col[i]]] for i in reps] for col in cols]))
-    # Numbers taken from idx are the int objects the rows already hold.
     final = frozenset(j for b, j in idx.items() if rep[b] in accepting)
     return RegularLanguage._trusted(alphabet, final, delta)
 
@@ -365,7 +399,7 @@ def _explore(
     `successors(state)` gives a state's successor keys in symbol order, None
     for a missing transition.  States are numbered in discovery order, so
     `start` is 0; rows[i] lists the numbers of states[i]'s successors, with
-    None passed through.  Raises LimitExceeded, naming the operation `op` and
+    None passed through.  The numbers are the shared `_NUMBERS` objects.  Raises LimitExceeded, naming the operation `op` and
     its operand sizes, when the states reached would exceed `state_cap()`.
 
     With `stop`, the search ends before it expands the first state, in
@@ -373,6 +407,8 @@ def _explore(
     states[len(rows)], so len(rows) < len(states) exactly when one was found.
     """
     cap = state_cap()
+    numbers = _NUMBERS
+    room = min(cap, len(numbers))
     states = [start]
     index = {start: 0}
     rows = []
@@ -387,9 +423,12 @@ def _explore(
             j = index.get(t)
             if j is None:
                 j = len(states)
-                if j >= cap:
-                    raise LimitExceeded(op, f"{'×'.join(map(str, sizes))} states", cap, _ENV_MAX_STATES)
-                index[t] = j
+                if j >= room:
+                    if j >= cap:
+                        raise LimitExceeded(op, f"{'×'.join(map(str, sizes))} states", cap, _ENV_MAX_STATES)
+                    numbers = _numbers(j + 1)
+                    room = min(cap, len(numbers))
+                j = index[t] = numbers[j]
                 states.append(t)
             row.append(j)
         rows.append(tuple(row))
@@ -407,7 +446,7 @@ def product_map(a: RegularLanguage, b: RegularLanguage, op: str = "product") -> 
 def _binary(a: RegularLanguage, b: RegularLanguage, keep: Callable, op: str) -> RegularLanguage:
     pairs, rows = product_map(a, b, op)
     accepting = frozenset(
-        i for i, (q, r) in enumerate(pairs) if keep(q in a.accepting, r in b.accepting)
+        i for i, (q, r) in zip(_numbers(len(pairs)), pairs) if keep(q in a.accepting, r in b.accepting)
     )
     return _canonicalize(a.alphabet, 0, accepting, rows, explored=True)
 
@@ -427,7 +466,7 @@ def concat_symbol_class(lang: RegularLanguage, symbols: Iterable[str]) -> Regula
         lambda pair: zip(delta[pair[0]], in_class if pair[0] in accepting else no_class),
         "symbol-class concatenation", (lang.n_states,),
     )
-    flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
+    flagged = frozenset(i for i, (_q, flag) in zip(_numbers(len(pairs)), pairs) if flag)
     return _canonicalize(lang.alphabet, 0, flagged, rows, explored=True)
 
 
@@ -440,7 +479,7 @@ def concat_sigma_star(lang: RegularLanguage) -> RegularLanguage:
         lambda pair: [(t, pair[1] or t in accepting) for t in delta[pair[0]]],
         "Σ* concatenation", (lang.n_states,),
     )
-    flagged = frozenset(i for i, (_q, flag) in enumerate(pairs) if flag)
+    flagged = frozenset(i for i, (_q, flag) in zip(_numbers(len(pairs)), pairs) if flag)
     return _canonicalize(lang.alphabet, 0, flagged, rows, explored=True)
 
 

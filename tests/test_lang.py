@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -662,6 +664,82 @@ class TestStateCap:
             counterexample(istar, sigma_star(ab))
         # The witness ε lies at the initial pair, before any pair is added.
         assert counterexample(istar, iostar) == ()
+
+
+def _random_dfa(rng: random.Random, alphabet: Alphabet, n: int) -> RegularLanguage:
+    return RegularLanguage(
+        alphabet, 0, [q for q in range(n) if rng.random() < 0.5], [[rng.randrange(n) for _ in alphabet] for _ in range(n)]
+    )
+
+
+def _cycle(n: int) -> RegularLanguage:
+    """a^(kn): a one-symbol cycle of n states, minimal as given."""
+    return RegularLanguage(Alphabet("a"), 0, [0], [[(q + 1) % n] for q in range(n)])
+
+
+class TestSharedNumbers:
+    """Every automaton the package builds numbers its states with the int
+    objects of one table, `lang._NUMBERS`, so state numbers above 256 are not
+    held once per automaton (nor twice, in its rows and its accepting set)."""
+
+    @staticmethod
+    def _products(seed: int) -> list[RegularLanguage]:
+        rng = random.Random(seed)
+        ops = [(_random_dfa(rng, AB3, 60), _random_dfa(rng, AB3, 60)) for _ in range(6)]
+        return [a.intersect(b) if k % 2 else a.union(b) for k, (a, b) in enumerate(ops)]
+
+    def test_held_products_retain_few_bytes_per_state(self):
+        self._products(5)  # grows the table, so only the held results are traced
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = self._products(5)
+            gc.collect()
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = sum(h.n_states for h in held)
+        assert min(h.n_states for h in held) > 256
+        # Measured on Python 3.11: 104 bytes per state (an 80-byte row tuple, its
+        # slot in delta and the accepting set's share), 143 when each state
+        # number is a private 28-byte int and each accepting number another.
+        assert size / states < 124
+
+    def test_equal_numbers_are_one_object_across_automata(self):
+        rng = random.Random(7)
+        a, b, c, d = (_random_dfa(rng, AB3, 60) for _ in range(4))
+        built = [
+            a.intersect(b), a.union(b).complement(), c.difference(d), concat_symbol_class(a.union(c), {"a"}),
+            _cycle(300).canonical(), concat_sigma_star(from_words(AB3, [("a",) * 400])),
+        ]
+        assert all(x.n_states > 256 for x in built)
+        objects: dict[int, set[int]] = {}
+        for x in built:
+            for t in (*x.accepting, *(t for row in x.delta for t in row)):
+                objects.setdefault(t, set()).add(id(t))
+        assert max(objects) > 2000
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_growth_leaves_a_taken_table_unchanged(self, monkeypatch):
+        monkeypatch.setattr(hyperc.lang, "_NUMBERS", list(range(257)))
+        taken = hyperc.lang._NUMBERS
+        rng = random.Random(5)
+        product = _random_dfa(rng, AB3, 60).intersect(_random_dfa(rng, AB3, 60))
+        assert product.n_states > 257
+        grown = hyperc.lang._NUMBERS
+        assert grown is not taken and taken == list(range(257))
+        assert grown == list(range(len(grown))) and len(grown) >= product.n_states
+
+    def test_table_stays_within_the_state_cap(self, monkeypatch):
+        monkeypatch.setattr(hyperc.lang, "_NUMBERS", list(range(10)))
+        monkeypatch.setenv("HYPERC_MAX_STATES", "20")
+        # Only the public constructor builds an automaton over the cap; its
+        # numbers past the table are fresh ints.
+        c = _cycle(60).canonical()
+        assert c.delta == tuple(((q + 1) % 60,) for q in range(60)) and c.accepting == {0}
+        assert c.complement().accepting == frozenset(range(1, 60))
+        assert c.accepts(("a",) * 120) and not c.accepts(("a",) * 61)
+        assert len(hyperc.lang._NUMBERS) <= 21
 
 
 class TestEnumerate:

@@ -9,12 +9,13 @@ import re
 
 import pytest
 
-from hyperc.behavioral import Universe, all_antichains
+from hyperc import behavioral
+from hyperc.behavioral import ConicCompset, Universe, all_antichains
 from hyperc.errors import LimitExceeded, UniverseTooLarge
 from hyperc.jsonio import parse_behavioral, parse_contract, parse_ia, parse_language
 from hyperc.lang import enumerate_words
 from hyperc.oracle import BoundedCheckConfig
-from test_behavioral import wide_antichain
+from test_behavioral import U64, scattered_antichain, wide_antichain
 from test_cli import README, fx, run
 
 #: The one message shape of a limit error, filled from its four attributes.
@@ -54,6 +55,10 @@ DOCS = {
     "u65": lambda: _bundle([f"b{k}" for k in range(65)], {"h": (0,)}),
     "u9": lambda: _bundle([f"b{k}" for k in range(9)], {"h": (0b11,), "g": (0b110,)}),
     "wide": lambda: _bundle([str(k) for k in range(64)], {"h": wide_antichain(1, 0), "g": wide_antichain(2, 4)}),
+    # 1000 × 1000 = 10⁶ candidates: at the meet's bound, over the normalization's.
+    "wide1000": lambda: _bundle(
+        [str(k) for k in range(64)], {"h": wide_antichain(1, 0)[:1000], "g": wide_antichain(2, 4)[:1000]}
+    ),
 }
 
 
@@ -129,6 +134,14 @@ LIMITS = {
         ("beh", "compose", "wide", "h", "g"),
         LimitExceeded, ("conic composition", "1001 × 1001 = 1002001 candidates", 1_000_000, "MAX_MEET_CANDIDATES"),
     ),
+    "normalize-work": (
+        None, lambda: _compose_h_g(parse_behavioral(_doc("wide1000"))),
+        ("beh", "compose", "wide1000", "h", "g"),
+        LimitExceeded, (
+            "conic composition", "999995 distinct masks × 1001 maximals kept = 1000994995 domination tests",
+            1_000_000_000, "MAX_NORMALIZE_WORK",
+        ),
+    ),
 }
 
 
@@ -153,6 +166,32 @@ def test_every_bound_site_raises_the_one_model(name, monkeypatch, capsys, tmp_pa
                 paths[item].write_text(json.dumps(_doc(item)), encoding="utf-8")
         code, out, stderr = run(capsys, *(str(paths.get(item, item)) for item in argv))
         assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+#: Each caller of the normalization, on two 10-maximal compsets, and the operation its refusal names.
+NORMALIZERS = {
+    "compose": (ConicCompset.compose, "conic composition"),
+    "meet": (ConicCompset.meet, "conic meet"),
+    "quotient": (ConicCompset.quotient, "conic quotient step 1 of 10"),
+    "join": (ConicCompset.join, "conic join"),
+    "from-components": (lambda h, _: ConicCompset.from_components(U64, h.maximals), "conic normalization"),
+    "constructor": (lambda h, _: ConicCompset(U64, h.maximals), "conic normalization"),
+}
+
+
+@pytest.mark.parametrize("name", NORMALIZERS)
+def test_normalization_work_bound_names_its_caller(name, monkeypatch):
+    call, operation = NORMALIZERS[name]
+    h, g = (ConicCompset(U64, scattered_antichain(seed, 10)) for seed in (1, 2))
+    call(h, g)
+    monkeypatch.setattr(behavioral, "MAX_NORMALIZE_WORK", 40)
+    with pytest.raises(LimitExceeded) as raised:
+        call(h, g)
+    err = raised.value
+    assert (err.operation, err.bound, err.knob) == (operation, 40, "MAX_NORMALIZE_WORK")
+    masks, kept = map(int, re.fullmatch(r"(\d+) distinct masks × (\d+) maximals kept = \d+ domination tests", err.measured).groups())
+    # Refused at the first maximal kept past the bound, not after the scan.
+    assert masks * (kept - 1) <= 40 < masks * kept
 
 
 #: One row of the README's Bounds table: bound, default, knob, guards, raises.

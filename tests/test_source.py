@@ -137,3 +137,57 @@ def test_limit_errors_pass_the_four_model_arguments():
         ):
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+#: list methods that change a list in place.
+_LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse", "__setitem__",
+                  "__delitem__", "__iadd__", "__imul__"}
+
+
+def _table_mutations(tree: ast.Module) -> list[int]:
+    """Lines that change the shared state-number table in place.  The table is
+    `_NUMBERS`, any attribute of that name, a call of `_numbers`, and every name
+    bound from one of those or beside `_NUMBERS` in one assignment."""
+    aliases = {"_NUMBERS"}
+
+    def is_table(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call):
+            func = node.func
+            return getattr(func, "id", None) == "_numbers" or getattr(func, "attr", None) == "_numbers"
+        return isinstance(node, ast.Name) and node.id in aliases or isinstance(node, ast.Attribute) and node.attr == "_NUMBERS"
+
+    grew = True
+    while grew:
+        before = len(aliases)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if node.value is not None and is_table(node.value) or any(is_table(t) for t in targets):
+                    aliases.update(t.id for t in targets if isinstance(t, ast.Name))
+        grew = len(aliases) > before
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _LIST_MUTATORS and is_table(node.func.value)
+            or isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and is_table(node.value)
+            or isinstance(node, ast.AugAssign) and is_table(node.target)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_shared_number_table_is_never_changed_in_place():
+    """Readers index the table they took without a lock, which holds only while
+    growth rebinds `_NUMBERS` to a new list and no list is ever changed."""
+    sample = ast.parse(
+        "numbers = _NUMBERS\nnumbers.append(1)\n_NUMBERS[0] = 0\nrows = lang._NUMBERS\nrows += [1]\n"
+        "del _numbers(3)[0]\nlang._NUMBERS.extend(x)\nnumbers = _NUMBERS = numbers + [1]\nother = [1]\nother.append(2)\n"
+    )
+    assert _table_mutations(sample) == [2, 3, 5, 6, 7]
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno in _table_mutations(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == []

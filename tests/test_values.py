@@ -222,6 +222,37 @@ def _state_cap_from(raw: str) -> int:
 REFUSALS = {
     "language-without-states": (lambda: RegularLanguage(AB, 0, (), ()), ValidationError, "at least one state"),
     "language-partial-delta": (lambda: RegularLanguage(AB, 0, (), ((0,),)), ValidationError, "must be total"),
+    # A state number must be an int: 0.5 and 0.0 pass a range test, then fail as
+    # list indices; 0.0 == 0, so each is given beside an int 0 it equals or follows.
+    "language-float-target": (
+        lambda: RegularLanguage(AB, 0, [0], [[0.5, 0]]), ValidationError, "^delta must be total with targets in range$",
+    ),
+    "language-float-equal-target": (
+        lambda: RegularLanguage(AB, 0, [0], [[0, 0.0]]), ValidationError, "^delta must be total with targets in range$",
+    ),
+    "language-float-initial": (
+        lambda: RegularLanguage(AB, 0.0, [0], [[0, 0]]), ValidationError, "^initial state out of range$",
+    ),
+    "language-float-accepting": (
+        lambda: RegularLanguage(AB, 0, [0.0], [[0, 0]]), ValidationError, "^accepting state out of range$",
+    ),
+    "language-bool-initial": (
+        lambda: RegularLanguage(AB, True, [0], [[0, 0], [1, 1]]), ValidationError, "^initial state out of range$",
+    ),
+    "language-text-target": (
+        lambda: RegularLanguage(AB, 0, [0], [["0", 0]]), ValidationError, "^delta must be total with targets in range$",
+    ),
+    "ia-float-target": (
+        lambda: automata.InterfaceAutomaton(IO, ["q0"], 0, [[0.5, None]]),
+        ValidationError, "^transition targets out of range$",
+    ),
+    "ia-float-initial": (
+        lambda: automata.InterfaceAutomaton(IO, ["q0"], 0.0, [[0, None]]),
+        ValidationError, "^initial state out of range$",
+    ),
+    "ia-partial-row": (
+        lambda: automata.InterfaceAutomaton(IO, ["q0"], 0, [[0]]), ValidationError, "^transition targets out of range$",
+    ),
     "universe-empty": (lambda: Universe(()), ValidationError, "nonempty"),
     "universe-duplicate": (lambda: Universe(("x", "x")), ValidationError, "distinct"),
     "universe-over-64": (
