@@ -18,7 +18,8 @@ class InterfaceAutomaton(Value):
     """Deterministic partial transition system with input/output actions.
 
     trans[state][symbol_index] is the successor or None; all states are
-    reachable from the initial state (enforce via `make`).
+    reachable from the initial state (enforce via `make`).  `make` and
+    `compose_detailed` build theirs with `_trusted`, from explored rows.
     """
 
     _fields = ("io", "state_names", "initial", "trans")
@@ -66,7 +67,7 @@ def make(
         transitions = [(src, sym, dst) for (src, sym), dst in transitions.items()]
     rows = _table_rows(io.alphabet, pos, transitions)
     order, trans = _explore(pos[initial], rows.__getitem__, "interface-automaton ingestion", (len(names),))
-    return InterfaceAutomaton(io, tuple(names[q] for q in order), 0, tuple(trans))
+    return InterfaceAutomaton._trusted(io, tuple(names[q] for q in order), 0, tuple(trans))
 
 
 def language(a: InterfaceAutomaton) -> RegularLanguage:
@@ -150,7 +151,10 @@ def compose_detailed(
     # Remove invalid states and the transitions touching them, then re-trim.
     order, trans = _explore(0, lambda i: [None if t is None or t in invalid else t for t in rows[i]], *label)
     names = tuple(pair_name(i) for i in order)
-    return InterfaceAutomaton(io, names, 0, tuple(trans)), pruned
+    if len(set(names)) < len(names):  # a "," inside a name can make two pairs' names equal
+        clash = next(name for name in names if names.count(name) > 1)
+        raise ValidationError(f"composite state name {clash!r} names two state pairs")
+    return InterfaceAutomaton._trusted(io, names, 0, tuple(trans)), pruned
 
 
 def compose(

@@ -68,6 +68,9 @@ class Universe(Value):
 
 
 def _check_universe(a, b) -> None:
+    """The one operand rule, first in every binary operation, keeps its `_trusted` result sound."""
+    if type(a) is not type(b):
+        raise ValidationError(f"operands must share one compset representation: {type(a).__name__}, {type(b).__name__}")
     if a.universe != b.universe:
         raise ValidationError("universe mismatch")
 
@@ -91,20 +94,20 @@ class Component(Value):
 
     def __and__(self, other: "Component") -> "Component":
         _check_universe(self, other)
-        return Component(self.universe, self.mask & other.mask)
+        return Component._trusted(self.universe, self.mask & other.mask)
 
     def __or__(self, other: "Component") -> "Component":
         _check_universe(self, other)
-        return Component(self.universe, self.mask | other.mask)
+        return Component._trusted(self.universe, self.mask | other.mask)
 
     def complement(self) -> "Component":
-        return Component(self.universe, self.universe.full_mask & ~self.mask)
+        return Component._trusted(self.universe, self.universe.full_mask & ~self.mask)
 
 
 def component_quotient(c: Component, c2: Component) -> Component:
     """Largest x with c2 ∩ x ⊆ c, namely the implication ¬c2 ∪ c."""
     _check_universe(c, c2)
-    return Component(c.universe, _quotient_mask(c.mask, c2.mask, c.universe.full_mask))
+    return Component._trusted(c.universe, _quotient_mask(c.mask, c2.mask, c.universe.full_mask))
 
 
 # -- the mask-level conic kernel: normalize and the pairwise meet, under ConicCompset
@@ -271,7 +274,7 @@ class ConicCompset(Value):
         members = set()
         for m in self.maximals:
             members.update(_submasks(m))
-        return GeneralCompset(self.universe, frozenset(members))
+        return GeneralCompset._trusted(self.universe, frozenset(members))
 
 
 # -- general mode --------------------------------------------------------------
@@ -295,10 +298,6 @@ class GeneralCompset(Value):
             raise ValidationError("member component leaves its universe")
         vars(self).update(universe=universe, members=members)
 
-    @classmethod
-    def from_components(cls, universe: Universe, components: Iterable[Component | int]) -> "GeneralCompset":
-        return cls(universe, frozenset(c.mask if isinstance(c, Component) else c for c in components))
-
     def is_empty(self) -> bool:
         return not self.members
 
@@ -312,17 +311,15 @@ class GeneralCompset(Value):
 
     def compose(self, other: "GeneralCompset") -> "GeneralCompset":
         _check_universe(self, other)
-        return GeneralCompset(
-            self.universe, frozenset(m & m2 for m in self.members for m2 in other.members)
-        )
+        return GeneralCompset._trusted(self.universe, frozenset(m & m2 for m in self.members for m2 in other.members))
 
     def meet(self, other: "GeneralCompset") -> "GeneralCompset":
         _check_universe(self, other)
-        return GeneralCompset(self.universe, self.members & other.members)
+        return GeneralCompset._trusted(self.universe, self.members & other.members)
 
     def join(self, other: "GeneralCompset") -> "GeneralCompset":
         _check_universe(self, other)
-        return GeneralCompset(self.universe, self.members | other.members)
+        return GeneralCompset._trusted(self.universe, self.members | other.members)
 
     def quotient(self, other: "GeneralCompset") -> "GeneralCompset":
         """{ M | {M} × H' ⊆ H }, evaluated literally over the whole universe."""
@@ -333,7 +330,7 @@ class GeneralCompset(Value):
             for m in range(full + 1)
             if all(m & m2 in self.members for m2 in other.members)
         )
-        return GeneralCompset(self.universe, out)
+        return GeneralCompset._trusted(self.universe, out)
 
     def to_conic(self) -> ConicCompset:
         """The antichain of maximal members: the counterpart of `ConicCompset.to_general`."""
@@ -376,8 +373,6 @@ class BehavioralHypercontract(Value):
 
     def __init__(self, env: ConicCompset | GeneralCompset, impl: ConicCompset | GeneralCompset):
         _check_universe(env, impl)
-        if type(env) is not type(impl):
-            raise ValidationError("environments and implementations must share one compset representation")
         vars(self).update(env=env, impl=impl)
 
     @property
@@ -388,7 +383,13 @@ class BehavioralHypercontract(Value):
         return not self.impl.is_empty()
 
     def mirror(self) -> "BehavioralHypercontract":
-        return BehavioralHypercontract(self.impl, self.env)
+        return BehavioralHypercontract._trusted(self.impl, self.env)
+
+    def to_general(self) -> "BehavioralHypercontract":
+        return BehavioralHypercontract._trusted(self.env.to_general(), self.impl.to_general())
+
+    def to_conic(self) -> "BehavioralHypercontract":
+        return BehavioralHypercontract._trusted(self.env.to_conic(), self.impl.to_conic())
 
 
 def contract_refines(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> bool:
@@ -399,23 +400,23 @@ def contract_refines(c: BehavioralHypercontract, c2: BehavioralHypercontract) ->
 def contract_compose(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
     """(E/I' ∧ E'/I, I × I')."""
     env = c.env.quotient(c2.impl).meet(c2.env.quotient(c.impl))
-    return BehavioralHypercontract(env, c.impl.compose(c2.impl))
+    return BehavioralHypercontract._trusted(env, c.impl.compose(c2.impl))
 
 
 def contract_quotient(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
     """(E × I', I/I' ∧ E'/E)."""
     impl = c.impl.quotient(c2.impl).meet(c2.env.quotient(c.env))
-    return BehavioralHypercontract(c.env.compose(c2.impl), impl)
+    return BehavioralHypercontract._trusted(c.env.compose(c2.impl), impl)
 
 
 def contract_meet(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
     """(E ∪ E', I ∩ I'): the GLB (weak merge)."""
-    return BehavioralHypercontract(c.env.join(c2.env), c.impl.meet(c2.impl))
+    return BehavioralHypercontract._trusted(c.env.join(c2.env), c.impl.meet(c2.impl))
 
 
 def contract_join(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
     """(E ∩ E', I ∪ I'): the LUB."""
-    return BehavioralHypercontract(c.env.meet(c2.env), c.impl.join(c2.impl))
+    return BehavioralHypercontract._trusted(c.env.meet(c2.env), c.impl.join(c2.impl))
 
 
 def strong_merge_general(c: BehavioralHypercontract, c2: BehavioralHypercontract) -> BehavioralHypercontract:
@@ -424,7 +425,7 @@ def strong_merge_general(c: BehavioralHypercontract, c2: BehavioralHypercontract
     representation; only AG contracts have a closed form (`ag_merge_strong`)."""
     env = c.env.meet(c2.env)
     closed = c.env.compose(c.impl).meet(c2.env.compose(c2.impl))
-    return BehavioralHypercontract(env, closed.quotient(env))
+    return BehavioralHypercontract._trusted(env, closed.quotient(env))
 
 
 # -- the assume-guarantee bridge ---------------------------------------------------
@@ -449,7 +450,7 @@ def ag_to_contract(ag: AgContract) -> BehavioralHypercontract:
     u = ag.universe
     env = ConicCompset._trusted(u, (ag.assumptions.mask,))
     impl = ConicCompset._trusted(u, (component_quotient(ag.guarantees, ag.assumptions).mask,))
-    return BehavioralHypercontract(env, impl)
+    return BehavioralHypercontract._trusted(env, impl)
 
 
 def ag_compose(ag: AgContract, ag2: AgContract) -> AgContract:
@@ -459,12 +460,12 @@ def ag_compose(ag: AgContract, ag2: AgContract) -> AgContract:
         ag2.guarantees, ag2.assumptions
     )
     a = (ag.assumptions & ag2.assumptions) | g.complement()
-    return AgContract(a, g)
+    return AgContract._trusted(a, g)
 
 
 def ag_merge_strong(ag: AgContract, ag2: AgContract) -> AgContract:
     """Viewpoint fusion with strong assumptions: (A1 ∩ A2, G1 ∩ G2)."""
-    return AgContract(ag.assumptions & ag2.assumptions, ag.guarantees & ag2.guarantees)
+    return AgContract._trusted(ag.assumptions & ag2.assumptions, ag.guarantees & ag2.guarantees)
 
 
 def ag_merge_weak(ag: AgContract, ag2: AgContract) -> BehavioralHypercontract:

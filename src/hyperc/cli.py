@@ -151,28 +151,21 @@ def _as_contract(named: _Named):
     return _expect(named, "contract", "a contract")
 
 
-def _general(op: Callable, *operands):
-    """A contract operation run on the general (explicit) form of conic contracts, brought back to conic form."""
-    contract = _lib("behavioral.BehavioralHypercontract")
-    result = op(*(contract(c.env.to_general(), c.impl.to_general()) for c in operands))
-    return contract(result.env.to_conic(), result.impl.to_conic())
-
-
 def _beh_lattice(op: str, a: _Named, b: _Named, general: bool):
     """compose, quotient, meet or join of two compsets or two contracts; the
-    quotient of two components is the implication quotient."""
+    quotient of two components is the implication quotient.  With `general`,
+    it runs on the operands' general form and its result is brought back to conic form."""
     behavioral = _lib("behavioral")
     if op == "quotient" and a.kind == b.kind == "component":
         return behavioral.component_quotient(a.value, b.value)
     if a.kind == b.kind == "compset":
-        if general:
-            return getattr(a.value.to_general(), op)(b.value.to_general()).to_conic()
-        return getattr(a.value, op)(b.value)
-    ca, cb = _as_contract(a), _as_contract(b)
-    if general and op == "quotient":
-        raise HypercError("general mode does not expose a contract quotient")
-    contract_op = getattr(behavioral, f"contract_{op}")
-    return _general(contract_op, ca, cb) if general else contract_op(ca, cb)
+        x, y, run = a.value, b.value, lambda h, h2: getattr(h, op)(h2)
+    else:
+        x, y = _as_contract(a), _as_contract(b)
+        if general and op == "quotient":
+            raise HypercError("general mode does not expose a contract quotient")
+        run = getattr(behavioral, f"contract_{op}")
+    return run(x.to_general(), y.to_general()).to_conic() if general else run(x, y)
 
 
 def _beh_pair(kind: str, same_op: str, contract_op: str | None, a: _Named, b: _Named):

@@ -50,9 +50,9 @@ def state_cap() -> int:
 
 #: _NUMBERS[j] is j: the one int object that every automaton built here holds
 #: for state number j (CPython shares only -5..256 itself).  Growth rebinds the
-#: name to a longer list and never changes a list in place, so a reader indexes
-#: the list it holds without a lock; the table stops at state_cap() + 1 numbers.
-_NUMBERS: list[int] = list(range(257))
+#: name to a longer tuple, so a reader indexes the tuple it holds without a lock;
+#: the table stops at state_cap() + 1 numbers.
+_NUMBERS: tuple[int, ...] = tuple(range(257))
 
 
 def _numbers(n: int) -> Sequence[int]:
@@ -63,7 +63,7 @@ def _numbers(n: int) -> Sequence[int]:
     if len(numbers) < n:
         size = min(max(n, 2 * len(numbers)), state_cap() + 1)
         if size > len(numbers):
-            numbers = _NUMBERS = numbers + list(range(len(numbers), size))
+            numbers = _NUMBERS = numbers + tuple(range(len(numbers), size))
         if size < n:
             return range(n)
     return numbers
@@ -126,7 +126,7 @@ class Alphabet(Value):
 
 
 class IoSignature(Value):
-    """Partition of the alphabet into input symbols I and output symbols O."""
+    """Partition of the alphabet into input symbols I and output symbols O; operations build theirs with `_trusted`."""
 
     _fields = ("alphabet", "inputs")
 
@@ -138,7 +138,7 @@ class IoSignature(Value):
         return frozenset(self.alphabet.symbols) - self.inputs
 
     def swapped(self) -> "IoSignature":
-        return IoSignature(self.alphabet, self.outputs)
+        return IoSignature._trusted(self.alphabet, self.outputs)
 
     def compose(self, other: "IoSignature") -> "IoSignature":
         """Signature (I∩I', O∪O') of a parallel composition; outputs must be disjoint."""
@@ -147,7 +147,7 @@ class IoSignature(Value):
         shared = self.outputs & other.outputs
         if shared:
             raise SignatureMismatch(f"shared outputs: {sorted(shared)}")
-        return IoSignature(self.alphabet, self.inputs & other.inputs)
+        return IoSignature._trusted(self.alphabet, self.inputs & other.inputs)
 
     def __str__(self) -> str:
         ins = ",".join(s for s in self.alphabet.symbols if s in self.inputs)

@@ -469,13 +469,13 @@ def sweep_conic_quotient(cfg: BoundedCheckConfig) -> CheckReport:
     operand of a 4-behavior universe."""
     universe = Universe(("0", "1", "2", "3"))
     chains = all_antichains(universe)
+    thirds = [(ms, ConicCompset(universe, ms)) for ms in chains]
 
     def case_faults(rng, notes):
         h = ConicCompset(universe, rng.choice(chains))
         h2 = ConicCompset(universe, rng.choice(chains))
         q = h.quotient(h2)
-        for ms in chains:
-            x = ConicCompset(universe, ms)
+        for ms, x in thirds:
             lhs = x.compose(h2).leq(h)
             rhs = x.leq(q)
             if lhs != rhs:

@@ -188,7 +188,7 @@ def quotient_signature(io: IoSignature, io2: IoSignature) -> IoSignature:
         raise SignatureMismatch(
             f"quotient requires the dividend's inputs inside the divisor's: {io} vs {io2}"
         )
-    return IoSignature(io.alphabet, io.inputs | io2.outputs)
+    return IoSignature._trusted(io.alphabet, io.inputs | io2.outputs)
 
 
 def quotient(a: ReceptiveLanguage, b: ReceptiveLanguage) -> ReceptiveLanguage:
@@ -215,4 +215,4 @@ def embed(a: ReceptiveLanguage, inputs: Iterable[str]) -> ReceptiveLanguage:
     new = a.alphabet.subset(inputs)
     if not new <= a.io.inputs:
         raise SignatureMismatch("embedding must shrink the input set")
-    return ReceptiveLanguage._trusted(a.lang, IoSignature(a.alphabet, new))
+    return ReceptiveLanguage._trusted(a.lang, IoSignature._trusted(a.alphabet, new))

@@ -147,6 +147,48 @@ class TestGeneralOps:
             BehavioralHypercontract(conic(0b0011), h)
 
 
+class TestOneOperandRule:
+    """Operands of two compset representations are refused with ValidationError,
+    in either order, by every binary operation, before any result is built."""
+
+    conic_h = ConicCompset.from_components(U4, [0b0011, 0b0110])
+    general_h = GeneralCompset(U4, frozenset({0b0001, 0b0011}))
+    conic_c = BehavioralHypercontract(conic_h, ConicCompset.full(U4))
+    general_c = BehavioralHypercontract(general_h, GeneralCompset(U4, frozenset({0b1111})))
+
+    @pytest.mark.parametrize("method", ["leq", "compose", "meet", "join", "quotient"])
+    def test_compset_methods(self, method):
+        for h, h2 in ((self.conic_h, self.general_h), (self.general_h, self.conic_h)):
+            with pytest.raises(ValidationError, match="one compset representation: "):
+                getattr(h, method)(h2)
+
+    @pytest.mark.parametrize(
+        "op",
+        [contract_compose, contract_quotient, contract_meet, contract_join, contract_refines, strong_merge_general],
+    )
+    def test_contract_operations(self, op):
+        for c, c2 in ((self.conic_c, self.general_c), (self.general_c, self.conic_c)):
+            with pytest.raises(ValidationError, match="one compset representation"):
+                op(c, c2)
+
+    def test_is_saturated(self):
+        for env, closed in ((self.conic_h, self.general_h), (self.general_h, self.conic_h)):
+            with pytest.raises(ValidationError, match="ConicCompset, GeneralCompset|GeneralCompset, ConicCompset"):
+                is_saturated(env, closed)
+
+    def test_component_with_compset(self):
+        message = "^operands must share one compset representation: Component, ConicCompset$"
+        with pytest.raises(ValidationError, match=message):
+            comp(0) & self.conic_h
+
+    def test_contract_representation_round_trip(self):
+        assert self.conic_c.to_general() == general(self.conic_c)
+        assert self.conic_c.to_general().to_conic() == self.conic_c
+        assert self.general_c.to_conic() == BehavioralHypercontract(
+            self.general_h.to_conic(), ConicCompset.full(U4)
+        )
+
+
 class TestConicRepresentation:
     def test_normalize_drops_dominated(self):
         assert ConicCompset.from_components(U4, [comp(0), comp(0, 1)]).maximals == (comp(0, 1).mask,)

@@ -432,6 +432,61 @@ class TestErrors:
         code, _, err = run(capsys, "beh", "normalize", str(doc), "x")
         assert code == 2 and f"'{section}' must be a JSON object" in err
 
+    @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            ("contracts", {"c": ["h"]}, "contract 'c' must map 'env' and 'impl'"),
+            ("ag", {"c": "a"}, "ag contract 'c' must map 'A' and 'G'"),
+        ],
+    )
+    def test_behavioral_entry_not_object(self, capsys, tmp_path, section, entry, message):
+        doc = tmp_path / "beh.json"
+        doc.write_text(json.dumps({"universe": ["0", "1"], section: entry}), encoding="utf-8")
+        code, out, err = run(capsys, "beh", "normalize", str(doc), "c")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_bundle_name_in_two_sections_is_ambiguous(self, capsys, tmp_path):
+        doc = tmp_path / "beh.json"
+        doc.write_text(json.dumps({"universe": ["0"], "components": {"n": ["0"]}, "compsets": {"n": ["n"]}}))
+        code, out, err = run(capsys, "beh", "normalize", str(doc), "n")
+        assert (code, out, err) == (2, "", "error: ambiguous name 'n' (compset, component)\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("normalize", "a1"), "'a1' is a component, not a compset"),
+            (("convexity", "cmix"), "'cmix' is a contract, not a compset"),
+            (("ag-contract", "h12"), "'h12' is a compset, not an assume-guarantee contract"),
+            (("compose", "h12", "a1"), "'h12' is a compset, not a contract"),
+            (("ag-compose", "cmix", "ctop"), "ag-compose expects two assume-guarantee contract names"),
+            (("ag-compose", "agc1", "cmix"), "ag-compose expects two assume-guarantee contract names"),
+        ],
+    )
+    def test_bundle_name_of_the_wrong_kind(self, capsys, argv, message):
+        verb, *names = argv
+        code, out, err = run(capsys, "beh", verb, fx("beh.json"), *names)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_document_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[]", encoding="utf-8")
+        code, out, err = run(capsys, "lang", "canon", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: document must be a JSON object\n")
+
+    def test_ia_compose_colliding_composite_names_exits_2(self, capsys, tmp_path):
+        """A "," inside state names can give two state pairs one composite name."""
+        docs = []
+        for name, inputs, states, moves in (
+            ("a1", ["x"], ["a,b", "a"], [["a,b", "x", "a,b"], ["a,b", "y", "a"], ["a", "x", "a"], ["a", "y", "a,b"]]),
+            ("a2", ["y"], ["c", "b,c"], [["c", "x", "c"], ["c", "y", "b,c"], ["b,c", "x", "b,c"], ["b,c", "y", "c"]]),
+        ):
+            path = tmp_path / f"{name}.json"
+            doc = {"alphabet": ["x", "y"], "inputs": inputs, "states": states, "initial": states[0]}
+            path.write_text(json.dumps({**doc, "transitions": moves}), encoding="utf-8")
+            docs.append(str(path))
+        code, out, err = run(capsys, "ia", "compose", *docs)
+        assert (code, out, err) == (2, "", "error: composite state name '(a,b,c)' names two state pairs\n")
+
     def test_document_not_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from hyperc import automata, behavioral, contracts, receptive
+from hyperc.automata import InterfaceAutomaton
 from hyperc.behavioral import (
     AgContract,
     BehavioralHypercontract,
@@ -70,6 +71,49 @@ def check_language(lang: RegularLanguage) -> None:
 def check_conic(h: ConicCompset) -> None:
     assert type(h.maximals) is tuple
     assert ConicCompset(h.universe, h.maximals) == h
+
+
+def check_general(h: GeneralCompset) -> None:
+    assert type(h.members) is frozenset
+    assert GeneralCompset(h.universe, h.members) == h
+
+
+def check_compset(h: ConicCompset | GeneralCompset) -> None:
+    (check_conic if type(h) is ConicCompset else check_general)(h)
+
+
+def check_behavioral(c: BehavioralHypercontract) -> None:
+    check_compset(c.env)
+    check_compset(c.impl)
+    assert BehavioralHypercontract(c.env, c.impl) == c
+
+
+def check_component(c: Component) -> None:
+    assert type(c.mask) is int
+    assert Component(c.universe, c.mask) == c
+
+
+def check_ag(ag: AgContract) -> None:
+    check_component(ag.assumptions)
+    check_component(ag.guarantees)
+    assert AgContract(ag.assumptions, ag.guarantees) == ag
+
+
+def check_io(io: IoSignature) -> None:
+    assert type(io.inputs) is frozenset
+    assert IoSignature(io.alphabet, io.inputs) == io
+
+
+def check_ia(a: InterfaceAutomaton) -> None:
+    """The public constructor accepts it, and `make` on its own triples, which
+    keeps the states reachable from the initial one in BFS order, rebuilds it."""
+    check_io(a.io)
+    assert type(a.state_names) is tuple and all(type(name) is str for name in a.state_names)
+    assert type(a.trans) is tuple and all(type(row) is tuple for row in a.trans)
+    assert InterfaceAutomaton(a.io, a.state_names, a.initial, a.trans) == a
+    names, symbols = a.state_names, a.io.alphabet.symbols
+    triples = [(names[q], s, names[t]) for q, row in enumerate(a.trans) for s, t in zip(symbols, row) if t is not None]
+    assert automata.make(a.io, names, names[a.initial], triples) == a
 
 
 def check_receptive(r: ReceptiveLanguage) -> None:
@@ -135,6 +179,7 @@ def test_receptive_results():
         dividend, divisor, io_r = _quotient_operands(rng, cfg)
         q = receptive.quotient(dividend, divisor)
         assert q.io == io_r
+        check_io(io_r)
         for result in (
             receptive.bottom(io),
             receptive.top(io),
@@ -206,3 +251,80 @@ def test_conic_results():
             results += [result.env, result.impl]
         for result in results:
             check_conic(result)
+
+
+def test_interface_automaton_results():
+    rng = random.Random(15)
+    composed = 0
+    for _ in range(CASES):
+        alphabet = random_alphabet(rng)
+        a = random_ia(rng, random_signature(rng, alphabet), MAX_STATES)
+        check_ia(a)
+        io1, io2 = _compatible_signatures(rng, alphabet)
+        result, _pruned = automata.compose_detailed(random_ia(rng, io1, MAX_STATES), random_ia(rng, io2, MAX_STATES))
+        if not isinstance(result, Incompatible):
+            check_ia(result)
+            composed += 1
+    assert composed > CASES // 4
+
+
+def test_signature_results():
+    rng = random.Random(16)
+    for _ in range(CASES):
+        alphabet = random_alphabet(rng)
+        io = random_signature(rng, alphabet)
+        io1, io2 = _compatible_signatures(rng, alphabet)
+        wider = IoSignature(alphabet, io.inputs | _some(rng, alphabet.symbols))
+        embedded = receptive.embed(random_receptive(rng, io, MAX_STATES), _some(rng, sorted(io.inputs)))
+        for result in (
+            io.swapped(),
+            io1.compose(io2),
+            receptive.quotient_signature(io, wider),
+            embedded.io,
+        ):
+            check_io(result)
+
+
+def test_component_and_ag_results():
+    rng = random.Random(17)
+    universes = [Universe(tuple(f"b{k}" for k in range(n))) for n in (1, 3, 8, 64)]
+    for _ in range(CASES):
+        u = rng.choice(universes)
+        c, c2 = Component(u, rng.getrandbits(u.size)), Component(u, rng.getrandbits(u.size))
+        for result in (c & c2, c | c2, c.complement(), behavioral.component_quotient(c, c2)):
+            check_component(result)
+        ag = AgContract(c, c2)
+        ag2 = AgContract(Component(u, rng.getrandbits(u.size)), c.complement())
+        check_ag(behavioral.ag_compose(ag, ag2))
+        check_ag(behavioral.ag_merge_strong(ag, ag2))
+        for result in (behavioral.ag_to_contract(ag), behavioral.ag_merge_weak(ag, ag2)):
+            check_behavioral(result)
+
+
+def test_general_and_behavioral_results():
+    rng = random.Random(18)
+    universes = [Universe(tuple(f"b{k}" for k in range(n))) for n in (1, 3, 4)]
+    contract_ops = (
+        behavioral.contract_compose,
+        behavioral.contract_quotient,
+        behavioral.contract_meet,
+        behavioral.contract_join,
+        behavioral.strong_merge_general,
+    )
+    for _ in range(CASES):
+        u = rng.choice(universes)
+
+        def general() -> GeneralCompset:
+            return GeneralCompset(u, frozenset(rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 5))))
+
+        h, h2 = general(), general()
+        for result in (h.compose(h2), h.meet(h2), h.join(h2), h.quotient(h2), random_conic(rng, u, 4).to_general()):
+            check_general(result)
+        conic = BehavioralHypercontract(random_conic(rng, u), random_conic(rng, u))
+        conic2 = BehavioralHypercontract(random_conic(rng, u), random_conic(rng, u))
+        pairs = [(conic, conic2), (conic.to_general(), conic2.to_general())]
+        pairs.append((BehavioralHypercontract(general(), general()), BehavioralHypercontract(general(), general())))
+        results = [conic.mirror(), conic.to_general(), pairs[2][0].mirror(), pairs[2][0].to_conic()]
+        results += [op(c, c2) for c, c2 in pairs for op in contract_ops]
+        for result in results:
+            check_behavioral(result)

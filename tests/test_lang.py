@@ -720,18 +720,26 @@ class TestSharedNumbers:
         assert max(objects) > 2000
         assert all(len(ids) == 1 for ids in objects.values())
 
+    def test_table_is_a_tuple(self, monkeypatch):
+        # Readers index the table they took without a lock, which holds only
+        # while no table can change in place: growth rebinds to a longer tuple.
+        assert type(hyperc.lang._NUMBERS) is tuple
+        monkeypatch.setattr(hyperc.lang, "_NUMBERS", tuple(range(10)))
+        grown = hyperc.lang._numbers(11)
+        assert type(grown) is tuple and grown is hyperc.lang._NUMBERS
+
     def test_growth_leaves_a_taken_table_unchanged(self, monkeypatch):
-        monkeypatch.setattr(hyperc.lang, "_NUMBERS", list(range(257)))
+        monkeypatch.setattr(hyperc.lang, "_NUMBERS", tuple(range(257)))
         taken = hyperc.lang._NUMBERS
         rng = random.Random(5)
         product = _random_dfa(rng, AB3, 60).intersect(_random_dfa(rng, AB3, 60))
         assert product.n_states > 257
         grown = hyperc.lang._NUMBERS
-        assert grown is not taken and taken == list(range(257))
-        assert grown == list(range(len(grown))) and len(grown) >= product.n_states
+        assert grown is not taken and taken == tuple(range(257))
+        assert grown == tuple(range(len(grown))) and len(grown) >= product.n_states
 
     def test_table_stays_within_the_state_cap(self, monkeypatch):
-        monkeypatch.setattr(hyperc.lang, "_NUMBERS", list(range(10)))
+        monkeypatch.setattr(hyperc.lang, "_NUMBERS", tuple(range(10)))
         monkeypatch.setenv("HYPERC_MAX_STATES", "20")
         # Only the public constructor builds an automaton over the cap; its
         # numbers past the table are fresh ints.

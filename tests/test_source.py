@@ -139,55 +139,79 @@ def test_limit_errors_pass_the_four_model_arguments():
     assert found == []
 
 
-#: list methods that change a list in place.
-_LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse", "__setitem__",
-                  "__delitem__", "__iadd__", "__imul__"}
+#: Where a `Value` subclass's public, checking constructor may be called, as
+#: (module, enclosing qualified name, class), "*" for any: where outside input
+#: enters (documents, the oracle's own draws and the two public builders), and
+#: the two classes whose constructors check nothing.  Every other value the
+#: library builds takes its class's trusted door, `_trusted`.
+_PUBLIC_CONSTRUCTORS_ALLOWED = {
+    ("jsonio.py", "*", "*"),
+    ("oracle.py", "*", "*"),
+    ("contracts.py", "from_s", "InterfaceHypercontract"),
+    ("behavioral.py", "Component.from_behaviors", "Component"),
+    ("*", "*", "Incompatible"),
+    ("*", "*", "ConvexityReport"),
+}
 
 
-def _table_mutations(tree: ast.Module) -> list[int]:
-    """Lines that change the shared state-number table in place.  The table is
-    `_NUMBERS`, any attribute of that name, a call of `_numbers`, and every name
-    bound from one of those or beside `_NUMBERS` in one assignment."""
-    aliases = {"_NUMBERS"}
-
-    def is_table(node: ast.AST) -> bool:
-        if isinstance(node, ast.Call):
-            func = node.func
-            return getattr(func, "id", None) == "_numbers" or getattr(func, "attr", None) == "_numbers"
-        return isinstance(node, ast.Name) and node.id in aliases or isinstance(node, ast.Attribute) and node.attr == "_NUMBERS"
-
-    grew = True
-    while grew:
-        before = len(aliases)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if node.value is not None and is_table(node.value) or any(is_table(t) for t in targets):
-                    aliases.update(t.id for t in targets if isinstance(t, ast.Name))
-        grew = len(aliases) > before
-    found = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _LIST_MUTATORS and is_table(node.func.value)
-            or isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and is_table(node.value)
-            or isinstance(node, ast.AugAssign) and is_table(node.target)
-        ):
-            found.append(node.lineno)
-    return sorted(found)
+def _value_classes(trees: dict[str, ast.Module]) -> set[str]:
+    """The names of the classes that derive from `Value`, directly or through another."""
+    bases = {
+        node.name: {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases}
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    values = {"Value"}
+    while grown := {name for name, parents in bases.items() if parents & values} - values:
+        values |= grown
+    return values - {"Value"}
 
 
-def test_shared_number_table_is_never_changed_in_place():
-    """Readers index the table they took without a lock, which holds only while
-    growth rebinds `_NUMBERS` to a new list and no list is ever changed."""
-    sample = ast.parse(
-        "numbers = _NUMBERS\nnumbers.append(1)\n_NUMBERS[0] = 0\nrows = lang._NUMBERS\nrows += [1]\n"
-        "del _numbers(3)[0]\nlang._NUMBERS.extend(x)\nnumbers = _NUMBERS = numbers + [1]\nother = [1]\nother.append(2)\n"
-    )
-    assert _table_mutations(sample) == [2, 3, 5, 6, 7]
+def _constructor_calls(node: ast.AST, values: set[str], scope: str = "", owner: str = ""):
+    """(line, enclosing qualified name, class) of every call of a value class by
+    name, as an attribute, or as `cls` inside a method of a value class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if isinstance(child, ast.ClassDef) else owner
+            yield from _constructor_calls(child, values, f"{scope}.{child.name}".lstrip("."), inner)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "cls":
+                name = owner
+            if name in values:
+                yield child.lineno, scope, name
+        yield from _constructor_calls(child, values, scope, owner)
+
+
+def _allowed_by(module: str, scope: str, name: str) -> set[tuple[str, str, str]]:
+    return {
+        rule
+        for rule in _PUBLIC_CONSTRUCTORS_ALLOWED
+        if all(pattern in ("*", value) for pattern, value in zip(rule, (module, scope, name)))
+    }
+
+
+def test_public_constructors_only_where_outside_input_enters():
+    """Validation once: a result the library builds skips the checks its operands
+    already passed.  The allowed sites are listed exactly: each is used."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SRC.glob("*.py")}
+    values = _value_classes(trees)
+    assert {"RegularLanguage", "IoSignature", "InterfaceAutomaton", "Component", "AgContract"} <= values
+    sample = ast.parse("class Box(Value):\n    @classmethod\n    def of(cls):\n        return cls(1)\n\nx = m.Box(2)\n")
+    assert list(_constructor_calls(sample, {"Box"})) == [(4, "Box.of", "Box"), (6, "", "Box")]
+    calls = [
+        (module, line, scope, name)
+        for module, tree in sorted(trees.items())
+        for line, scope, name in _constructor_calls(tree, values)
+    ]
     found = [
-        f"{path.name}:{lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno in _table_mutations(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        f"{module}:{line} {scope or '<module>'} calls {name}(...)"
+        for module, line, scope, name in calls
+        if not _allowed_by(module, scope, name)
     ]
     assert found == []
+    used = set().union(*(_allowed_by(module, scope, name) for module, _, scope, name in calls))
+    assert used == _PUBLIC_CONSTRUCTORS_ALLOWED

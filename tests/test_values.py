@@ -27,7 +27,7 @@ from hyperc.behavioral import (
     convexity,
 )
 from hyperc.contracts import Incompatible, InterfaceHypercontract
-from hyperc.errors import HypercError, UniverseTooLarge, ValidationError
+from hyperc.errors import HypercError, SignatureMismatch, UniverseTooLarge, ValidationError
 from hyperc.jsonio import parse_behavioral, parse_language
 from hyperc.lang import (
     Alphabet,
@@ -210,6 +210,19 @@ def test_contract_equality_ignores_derived_languages():
 
 
 V = Universe(("x", "y"))
+ABX = Alphabet(("i", "o", "x"))
+
+#: Two automata over {x, y} whose composite names "(a,b" + "," + "c)" and "(a" + "," + "b,c)" are equal.
+_COLLIDING = (
+    automata.make(
+        IoSignature(Alphabet(("x", "y")), {"x"}), ["a,b", "a"], "a,b",
+        [("a,b", "x", "a,b"), ("a,b", "y", "a"), ("a", "x", "a"), ("a", "y", "a,b")],
+    ),
+    automata.make(
+        IoSignature(Alphabet(("x", "y")), {"y"}), ["c", "b,c"], "c",
+        [("c", "x", "c"), ("c", "y", "b,c"), ("b,c", "x", "b,c"), ("b,c", "y", "c")],
+    ),
+)
 
 
 def _state_cap_from(raw: str) -> int:
@@ -253,6 +266,33 @@ REFUSALS = {
     "ia-partial-row": (
         lambda: automata.InterfaceAutomaton(IO, ["q0"], 0, [[0]]), ValidationError, "^transition targets out of range$",
     ),
+    "ia-without-states": (
+        lambda: automata.InterfaceAutomaton(IO, [], 0, []), ValidationError, "^automaton needs at least one state$",
+    ),
+    "ia-duplicate-names": (
+        lambda: automata.InterfaceAutomaton(IO, ["q", "q"], 0, [[0, 1], [1, None]]),
+        ValidationError, "^state names must be distinct$",
+    ),
+    "ia-row-count": (
+        lambda: automata.InterfaceAutomaton(IO, ["q0", "q1"], 0, [[0, 1]]),
+        ValidationError, "^one transition row per state required$",
+    ),
+    "ia-composite-names-collide": (
+        lambda: automata.compose(*_COLLIDING),
+        ValidationError, r"^composite state name '\(a,b,c\)' names two state pairs$",
+    ),
+    "contract-alphabets": (
+        lambda: InterfaceHypercontract(star_of(ABX, {"i"}), IO), SignatureMismatch,
+        "^S and signature use different alphabets$",
+    ),
+    "receptive-alphabets": (
+        lambda: ReceptiveLanguage(star_of(ABX, {"i"}), IO), SignatureMismatch,
+        "^language and signature use different alphabets$",
+    ),
+    "quotient-signature-alphabets": (
+        lambda: receptive.quotient_signature(IO, IoSignature(ABX, {"i"})), SignatureMismatch,
+        "^operands use different alphabets$",
+    ),
     "universe-empty": (lambda: Universe(()), ValidationError, "nonempty"),
     "universe-duplicate": (lambda: Universe(("x", "x")), ValidationError, "distinct"),
     "universe-over-64": (
@@ -268,6 +308,10 @@ REFUSALS = {
     "contract-mixed": (
         lambda: BehavioralHypercontract(ConicCompset.full(U), GeneralCompset(U, {0})),
         ValidationError, "one compset representation",
+    ),
+    "compsets-mixed": (
+        lambda: ConicCompset.full(U).meet(GeneralCompset(U, {0})),
+        ValidationError, "^operands must share one compset representation: ConicCompset, GeneralCompset$",
     ),
     "ag-across": (lambda: AgContract(Component(U, 1), Component(V, 1)), ValidationError, "universe mismatch"),
     "ag-compose-across": (
