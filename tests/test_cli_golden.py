@@ -45,6 +45,10 @@ EXTRA_CALLS: tuple[tuple[str, ...], ...] = (
     ("beh", "quotient", "beh.json", "h12", "htop"),
     ("beh", "quotient", "beh.json", "cmix", "ctop"),
     ("beh", "quotient", "beh.json", "cmix", "ctop", "--general"),
+    # Over 64 behaviors: meets whose maximals outnumber twice the family masks,
+    # so normalize_masks decides the rest by closure.
+    ("beh", "compose", "beh_wide.json", "wa", "wb"),
+    ("beh", "quotient", "beh_wide.json", "q5", "q4"),
     # Refusals (exit 2), kept out of CLI_CORPUS, whose calls must not exit 2.
     ("lang", "validate", "rec_not_prefix_closed.json"),
     ("lang", "validate", "rec_not_receptive.json"),
