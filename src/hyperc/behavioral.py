@@ -10,6 +10,8 @@ the contract operations run on hypercontracts over either.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import length_hint
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded, UniverseTooLarge, ValidationError, Value
@@ -26,6 +28,11 @@ MAX_NORMALIZE_WORK = 1_000_000_000
 
 # Maximals kept before normalize_masks tests each mask against all of them at once.
 _PACKED_FROM = 16
+
+# Given families, normalize_masks may decide the masks left by closure once the maximals
+# kept reach _CLOSURE_FROM × the family masks; a closure test costs about _CLOSURE_COST lane tests.
+_CLOSURE_FROM = 2
+_CLOSURE_COST = 5
 
 
 class Universe(Value):
@@ -117,7 +124,9 @@ def _quotient_mask(target: int, divisor: int, full: int) -> int:
     return (full & ~divisor) | target
 
 
-def normalize_masks(masks: Iterable[int], operation: str = "conic normalization") -> tuple[int, ...]:
+def normalize_masks(
+    masks: Iterable[int], operation: str = "conic normalization", families: Sequence[Sequence[int]] = ()
+) -> tuple[int, ...]:
     """Antichain of maximal elements, sorted ascending; denotation unchanged.
     The masks must be nonnegative: a negative one turns the lane test off.
     Each mask is tested against at most all the maximals kept, so once distinct
@@ -131,7 +140,13 @@ def normalize_masks(masks: Iterable[int], operation: str = "conic normalization"
     maximal o_i holds lane i of `lanes`: w bits (2^w − 1) ∧ ¬o_i under a clear
     guard bit.  m · low copies m < 2^w into every lane, lane i of lanes ∧ m · low
     is zero iff m ⊆ o_i, and adding `guard` then subtracting `low` clears just
-    the guard bits of zero lanes, with no borrow across lanes."""
+    the guard bits of zero lanes, with no borrow across lanes.
+
+    Given nonnegative `families` F_j with the masks among their meets ⋀_j q_j and
+    ↓masks = ↓{those meets}, the masks left once the maximals kept reach
+    switch = _CLOSURE_FROM × Σ|F_j| go to `_closed`, if they are as many and their
+    closure work fits what MAX_NORMALIZE_WORK leaves.  Only the lane phase can
+    switch: 2 × switch distinct meets are more than Σ|F_j| ≤ 8 masks make."""
     distinct = sorted(set(masks), key=int.bit_count, reverse=True)
     room = MAX_NORMALIZE_WORK // len(distinct) if distinct else 0
     todo = iter(distinct)
@@ -152,6 +167,8 @@ def normalize_masks(masks: Iterable[int], operation: str = "conic normalization"
         kept.sort()
         return tuple(kept)
     w = max(distinct).bit_length()
+    family_masks = sum(map(len, families))
+    switch = _CLOSURE_FROM * family_masks
     fill = (1 << w) - 1
     lanes = low = shift = 0
     for o in kept:
@@ -164,6 +181,11 @@ def normalize_masks(masks: Iterable[int], operation: str = "conic normalization"
             kept.append(m)
             if len(kept) > room:
                 _over_work(operation, len(distinct), len(kept))
+            if len(kept) == switch:
+                left = length_hint(todo)
+                if switch <= left <= (MAX_NORMALIZE_WORK - len(distinct) * switch) // (_CLOSURE_COST * family_masks):
+                    kept += _closed(list(todo), families, w)
+                    break
             lanes |= (fill ^ m) << shift
             low |= 1 << shift
             guard |= 1 << shift + w
@@ -172,19 +194,51 @@ def normalize_masks(masks: Iterable[int], operation: str = "conic normalization"
     return tuple(kept)
 
 
+def _closed(masks: list[int], families: Sequence[Sequence[int]], w: int) -> Iterator[int]:
+    """The masks c maximal among all meets ⋀_j q_j (q_j ∈ F_j, all below 2^w, c
+    among them): those with c = ⋀_j ⋁P_j(c), where P_j(c) = {q ∈ F_j : c ⊆ q}.
+    Proof: every meet x_g = ⋀_j q_{j,g(j)} ⊇ c takes each q_{j,g(j)} from P_j(c),
+    so c is maximal iff all those x_g, hence their join ⋁_g ⋀_j q_{j,g(j)} =
+    ⋀_j ⋁P_j(c) (distributivity), equal c.  A quotient's fold keeps ↓acc = ↓{all
+    meets of its steps so far}, so it passes the steps' families, not `acc`.
+
+    Candidate i holds lane i of c: w bits, a clear guard bit, padded to nb bytes.
+    For each f, `inside` marks the guard bits of lanes with c ⊆ f (the lane test
+    above, on c ∧ ¬f); inside − (inside >> w) fills those lanes to take f, so u
+    gathers ⋁P_j(c) and x meets the u of every family."""
+    nb = w // 8 + 1
+    full = (1 << w) - 1
+    low = int.from_bytes(b"\1".ljust(nb, b"\0") * len(masks), "little")
+    guard = low << w
+    c = int.from_bytes(b"".join(m.to_bytes(nb, "little") for m in masks), "little")
+    x = full * low
+    for family in families:
+        u = 0
+        for f in family:
+            f &= full
+            inside = guard & ~((c & (full ^ f) * low | guard) - low)
+            u |= (inside - (inside >> w)) & f * low
+        x &= u
+    same = guard & ~((x ^ c | guard) - low)
+    return compress(masks, same.to_bytes(len(masks) * nb, "little")[w // 8 :: nb])
+
+
 def _over_work(operation: str, masks: int, kept: int) -> None:
     measured = f"{masks} distinct masks × {kept} maximals kept = {masks * kept} domination tests"
     raise LimitExceeded(operation, measured, MAX_NORMALIZE_WORK, "MAX_NORMALIZE_WORK")
 
 
-def _meet(operation: str, ms: Sequence[int], ms2: Sequence[int]) -> tuple[int, ...]:
-    """Maximals of  ↓ms ∩ ↓ms2 = ↓{a ∧ b : a ∈ ms, b ∈ ms2}.  Over MAX_MEET_CANDIDATES
-    candidates, LimitExceeded names the operation and both sizes before any is built."""
+def _meet(
+    operation: str, ms: Sequence[int], ms2: Sequence[int], families: Sequence[Sequence[int]] = ()
+) -> tuple[int, ...]:
+    """Maximals of  ↓ms ∩ ↓ms2 = ↓{a ∧ b : a ∈ ms, b ∈ ms2}, the meets of `families`
+    ((ms, ms2) by default).  Over MAX_MEET_CANDIDATES candidates, LimitExceeded
+    names the operation and both sizes before any is built."""
     candidates = len(ms) * len(ms2)
     if candidates > MAX_MEET_CANDIDATES:
         measured = f"{len(ms)} × {len(ms2)} = {candidates} candidates"
         raise LimitExceeded(operation, measured, MAX_MEET_CANDIDATES, "MAX_MEET_CANDIDATES")
-    return normalize_masks([a & b for a in ms for b in ms2], operation)
+    return normalize_masks([a & b for a in ms for b in ms2], operation, families or (ms, ms2))
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -260,13 +314,14 @@ class ConicCompset(Value):
 
     def quotient(self, other: "ConicCompset") -> "ConicCompset":
         """The residual  ⋀_{M'∈H'} ↓{M/M' : M ∈ H},  folded one divisor maximal M' at a time:
-        each step meets the maximals kept so far with the k quotients M/M'."""
+        each step meets the maximals kept so far with the k quotients M/M' (all steps' meets)."""
         _check_universe(self, other)
         full = self.universe.full_mask
         acc: tuple[int, ...] = (full,)
+        steps: list[list[int]] = []
         for step, m2 in enumerate(other.maximals, 1):
-            quotients = [_quotient_mask(m, m2, full) for m in self.maximals]
-            acc = _meet(f"conic quotient step {step} of {other.k}", acc, quotients)
+            steps.append([_quotient_mask(m, m2, full) for m in self.maximals])
+            acc = _meet(f"conic quotient step {step} of {other.k}", acc, steps[-1], steps)
         return ConicCompset._trusted(self.universe, acc)
 
     def to_general(self) -> "GeneralCompset":

@@ -3,15 +3,21 @@ the structural facts (convexity, saturation, mirror identity)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
+import operator
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperc import behavioral
 from hyperc.behavioral import (
+    _CLOSURE_FROM,
     _PACKED_FROM,
     AgContract,
     BehavioralHypercontract,
@@ -32,6 +38,7 @@ from hyperc.behavioral import (
     contract_refines,
     convexity,
     is_saturated,
+    _closed,
     normalize_masks,
     strong_merge_general,
 )
@@ -292,6 +299,25 @@ def reference_normalize(masks) -> tuple[int, ...]:
     return tuple(m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq))
 
 
+def sliced_normalize(masks) -> tuple[int, ...]:
+    """The same filter by a per-bit index, fast enough for 10⁴ masks: bit k of
+    holders[b] says that distinct mask k holds behavior b, so the masks holding
+    all of m's behaviors are the ∧ of its bits' holders, and m is kept iff that
+    is m alone."""
+    uniq = sorted(set(masks))
+    holders: dict[int, int] = {}
+    for k, m in enumerate(uniq):
+        for b in range(m.bit_length()):
+            if m >> b & 1:
+                holders[b] = holders.get(b, 0) | 1 << k
+    everyone = (1 << len(uniq)) - 1
+    return tuple(
+        m
+        for k, m in enumerate(uniq)
+        if functools.reduce(operator.and_, (holders[b] for b in range(m.bit_length()) if m >> b & 1), everyone) == 1 << k
+    )
+
+
 def reference_quotient(ms, ms2, full: int) -> tuple[int, ...]:
     """One meet  ⋀_{M'∈ms2} M(M')/M'  per choice function M(·): ms2 → ms."""
     if not ms2:
@@ -464,6 +490,136 @@ class TestPackedNormalize:
             masks.add(sum(1 << b for b in rng.sample(range(16), 8)))
         with pytest.raises(ValidationError, match="^maximal component leaves its universe$"):
             ConicCompset.from_components(u, [*masks, bad])
+
+
+def all_meets(families) -> list[int]:
+    """⋀_j q_j for every choice of one q_j from each family."""
+    return [functools.reduce(operator.and_, choice) for choice in itertools.product(*families)]
+
+
+@st.composite
+def meet_families(draw):
+    """1-6 families of 1-40 masks over w behaviors, w one of the lane widths
+    that straddle a byte, with at most 600 meets.  A family may repeat a mask,
+    hold a mask below another, or (now and then) be empty.  Masks are drawn
+    uniformly, so that wide meets stay incomparable and often pass the switch,
+    and every nonempty family's first mask holds bit w - 1, so the widest meet
+    is w bits wide."""
+    w = draw(st.sampled_from((1, 7, 8, 9, 15, 16, 17, 63, 64)))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # Hypothesis's own randoms favour small ints
+    families, meets = [], 1
+    for _ in range(draw(st.integers(1, 6))):
+        most = max(1, min(40, 600 // meets))
+        size = draw(st.one_of(st.just(most), st.integers(1, most)))  # often the most, to pass the switch
+        family = [rng.getrandbits(w) | 1 << w - 1]
+        for k in range(1, size):
+            kind = rng.choice(("keep", "keep", "keep", "sub", "dup"))
+            other = rng.choice(family)
+            family.append(rng.getrandbits(w) if kind == "keep" else other & rng.getrandbits(w) if kind == "sub" else other)
+        families.append(family)
+        meets *= size
+    if draw(st.integers(0, 19)) == 0:
+        families.insert(draw(st.integers(0, len(families))), [])
+    return w, families
+
+
+def closure_spy(monkeypatch) -> list[tuple[int, int]]:
+    """Record (masks tested, masks kept) of every call to behavioral._closed."""
+    calls: list[tuple[int, int]] = []
+
+    def spy(masks, families, w):
+        kept = list(_closed(masks, families, w))
+        calls.append((len(masks), len(kept)))
+        return kept
+
+    monkeypatch.setattr(behavioral, "_closed", spy)
+    return calls
+
+
+def block_families(sizes, extras: int = 0):
+    """Families over disjoint blocks of behaviors, one block per family, and a
+    block of `extras` behaviors that every mask holds: family j holds each mask
+    that lacks one behavior of its block, so the ∏ sizes meets form an antichain.
+    Family 0 also holds its first mask less each extra behavior, which adds
+    extras · ∏ sizes[1:] distinct meets, each below one of the antichain's."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    full = (1 << starts[-1] + extras) - 1
+    families = [[full & ~(1 << starts[j] + i) for i in range(size)] for j, size in enumerate(sizes)]
+    families[0] += [families[0][0] & ~(1 << starts[-1] + t) for t in range(extras)]
+    return families
+
+
+class TestClosureNormalize:
+    """normalize_masks given the families whose meets the masks are: past
+    _CLOSURE_FROM × the family masks kept, the masks left are decided by closure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(meet_families())
+    def test_closure_matches_pairwise_filter(self, drawn):
+        w, families = drawn
+        meets = all_meets(families)
+        expected = reference_normalize(meets)
+        assert normalize_masks(meets, families=families) == expected
+        assert tuple(sorted(_closed(sorted(set(meets)), families, w))) == expected
+        assert sliced_normalize(meets) == expected
+
+    @pytest.mark.parametrize(
+        "sizes, extras, over, closure",
+        [
+            ((3, 9), 2, -1, None),  # 27 maximals, switch at 2 × 14 = 28: never reached
+            ((4, 8), 4, 0, (32, 0)),  # 32 maximals, switch at 32: the 32 dominated are left
+            ((5, 9), 8, 1, (73, 1)),  # 45 maximals, switch at 44: one maximal and 72 dominated left
+            ((5, 5), 2, 1, None),  # 25 maximals, switch at 24: 11 masks left are fewer than 24
+            ((4, 4), 0, 0, None),  # 16 maximals, switch at 16 = _PACKED_FROM: nothing left
+            ((3, 3, 3), 4, 1, (37, 1)),  # 27 maximals, switch at 26: one maximal and 36 dominated left
+        ],
+        ids=["below", "at", "above", "few-left", "at-packed-from", "three-families"],
+    )
+    def test_switch_point(self, sizes, extras, over, closure, monkeypatch):
+        calls = closure_spy(monkeypatch)
+        families = block_families(sizes, extras)
+        meets = all_meets(families)
+        maximals = reference_normalize(meets)
+        assert len(maximals) == _CLOSURE_FROM * sum(map(len, families)) + over
+        assert normalize_masks(meets, families=families) == maximals
+        assert calls == ([] if closure is None else [closure])
+
+    def test_switch_needs_room_in_the_work_bound(self, monkeypatch):
+        # 117 distinct meets, 22 family masks: the switch at 44 maximals leaves
+        # 73 masks, whose closure counts 73 × 22 × 5 beside the 117 × 44 done.
+        calls = closure_spy(monkeypatch)
+        families = block_families((5, 9), 8)
+        meets = all_meets(families)
+        assert (len(set(meets)), sum(map(len, families))) == (117, 22)
+        monkeypatch.setattr(behavioral, "MAX_NORMALIZE_WORK", 117 * 44 + 73 * 22 * 5 - 1)
+        assert normalize_masks(meets, families=families) == reference_normalize(meets)
+        assert calls == []
+        monkeypatch.setattr(behavioral, "MAX_NORMALIZE_WORK", 117 * 44 + 73 * 22 * 5)
+        assert normalize_masks(meets, families=families) == reference_normalize(meets)
+        assert calls == [(73, 1)]
+
+    def test_wide_compose_100(self, monkeypatch):
+        calls = closure_spy(monkeypatch)
+        h, h2 = ConicCompset(U64, wide_antichain(1, 0)[:100]), ConicCompset(U64, wide_antichain(2, 4)[:100])
+        meets = [a & b for a in h.maximals for b in h2.maximals]
+        assert len(meets) == 10_000
+        assert h.compose(h2).maximals == sliced_normalize(meets) == normalize_masks(meets)
+        assert calls and calls[0][0] > calls[0][1] > 0
+
+    def test_golden_bundle_reaches_the_closure(self, monkeypatch):
+        # The compose and the quotient pinned by the golden corpus take the closure path.
+        from hyperc.jsonio import parse_behavioral
+
+        raw = json.loads((Path(__file__).parent / "data" / "beh_wide.json").read_text(encoding="utf-8"))
+        doc = parse_behavioral(raw)
+        calls = closure_spy(monkeypatch)
+        composed = doc.compsets["wa"].compose(doc.compsets["wb"])
+        assert len(calls) == 1 and calls[0][0] > calls[0][1] > 0
+        meets = [a & b for a in doc.compsets["wa"].maximals for b in doc.compsets["wb"].maximals]
+        assert composed.maximals == sliced_normalize(meets)
+        h, h2 = doc.compsets["q5"], doc.compsets["q4"]
+        assert h.quotient(h2).maximals == reference_quotient(h.maximals, h2.maximals, U64.full_mask)
+        assert len(calls) > 1
 
 
 class TestContracts:
