@@ -25,6 +25,7 @@ from hyperc.behavioral import (
     ConicCompset,
     GeneralCompset,
     Universe,
+    _closed,
     ag_compose,
     ag_merge_strong,
     ag_merge_weak,
@@ -38,11 +39,11 @@ from hyperc.behavioral import (
     contract_refines,
     convexity,
     is_saturated,
-    _closed,
     normalize_masks,
     strong_merge_general,
 )
 from hyperc.errors import LimitExceeded, UniverseTooLarge, ValidationError
+from hyperc.jsonio import parse_behavioral
 
 U4 = Universe(("0", "1", "2", "3"))
 U3 = Universe(("x", "y", "z"))
@@ -354,7 +355,8 @@ def many_masks(draw) -> tuple[int, ...]:
     bits = draw(st.integers(1, 64))
     full = (1 << bits) - 1
     mask = st.integers(0, full)
-    tops = draw(st.lists(mask, max_size=120))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # uniform tops: Hypothesis favours small ints
+    tops = [rng.getrandbits(bits) for _ in range(draw(st.integers(0, 120)))]
     out = tops + [0] * draw(st.booleans())
     if draw(st.integers(0, 9)) == 0:  # the full mask leaves one maximal, so only now and then
         out.append(full)
@@ -608,8 +610,6 @@ class TestClosureNormalize:
 
     def test_golden_bundle_reaches_the_closure(self, monkeypatch):
         # The compose and the quotient pinned by the golden corpus take the closure path.
-        from hyperc.jsonio import parse_behavioral
-
         raw = json.loads((Path(__file__).parent / "data" / "beh_wide.json").read_text(encoding="utf-8"))
         doc = parse_behavioral(raw)
         calls = closure_spy(monkeypatch)
